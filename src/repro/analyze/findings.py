@@ -126,11 +126,6 @@ class Finding:
     def severity(self) -> Severity:
         return RULES[self.code].severity
 
-    @property
-    def kernel(self) -> Optional[str]:
-        """Backward-compatible alias of :attr:`origin` (MCL call sites)."""
-        return self.origin
-
     def sort_key(self) -> tuple:
         return (self.origin or "", self.line, self.code, self.message)
 

@@ -9,12 +9,10 @@ the second cause of Satin's reduced scalability (Sec. V-B).
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence
+from typing import Callable, Generator, List, Optional, Sequence
 
 from ..devices.device import SimDevice
 from ..devices.specs import HOST_CPU, CpuSpec, device_spec
-from typing import Callable
-
 from ..sim.engine import Environment, Event, Timeout
 from ..sim.network import Endpoint, Network
 from ..sim.resources import Resource
@@ -24,35 +22,24 @@ __all__ = ["ComputeNode"]
 
 
 class _DelayOp:
-    """Zero-process mirror of ``env.process(cpu_delay(s); finish())``.
+    """Occupy one core for ``seconds``, then call ``finish()`` — no Process.
 
-    Replays that spawned generator's event structure exactly: a
-    front-priority starter stands in for the Process's ``Initialize``
-    (same heap slot, so the core is claimed at the same virtual moment),
-    then grant → Timeout → busy-accounting/obs/release → ``finish()``,
-    each at the pop where the generator would have resumed.  Only the
-    spawned process's StopIteration completion event is dropped — it has
-    no waiters on this fire-and-forget path, and removing a pop wholesale
-    never reorders the remaining events.
+    A front-priority starter event claims the core (so it is claimed in
+    the same step the caller asked, ahead of later work queued at this
+    instant), then grant → Timeout → busy-accounting/obs/release →
+    ``finish()``, each at one queue pop.
     """
 
-    __slots__ = ("node", "seconds", "label", "finish", "req", "start",
-                 "completes")
+    __slots__ = ("node", "seconds", "label", "finish", "req", "start")
 
     def __init__(self, node: "ComputeNode", seconds: float, label: str,
-                 finish: Callable[[], None], completes: bool):
+                 finish: Callable[[], None]):
         self.node = node
         self.seconds = seconds
         self.label = label
         self.finish = finish
         self.req = None
         self.start = 0.0
-        #: True when the mirrored process *ended* right after ``finish``
-        #: (fire-and-forget): an inert event then stands in for its
-        #: StopIteration completion pop, keeping event counts identical.
-        #: False when the process went on to send (the transfer chain's
-        #: own fillers cover the tail).
-        self.completes = completes
         env = node.env
         starter = Event(env)
         starter._ok = True
@@ -63,8 +50,6 @@ class _DelayOp:
     def _begin(self, _event: Event) -> None:
         if self.seconds <= 0:
             self.finish()
-            if self.completes:
-                Event(self.node.env).succeed(None)
             return
         req = self.node.cores.request()
         req.callbacks.append(self._granted)
@@ -86,8 +71,6 @@ class _DelayOp:
                      start=self.start, end=env._now, label=self.label)
         node.cores.release(self.req)
         self.finish()
-        if self.completes:
-            Event(env).succeed(None)
 
 
 class ComputeNode:
@@ -136,14 +119,10 @@ class ComputeNode:
                          start=start, end=self.env.now, label=label)
 
     def cpu_delay_async(self, seconds: float, label: str,
-                        finish: Callable[[], None],
-                        completes: bool = True) -> None:
+                        finish: Callable[[], None]) -> None:
         """Occupy a core for ``seconds``, then call ``finish()`` — without
-        spawning a Process.  Event-order-identical replacement for
-        ``env.process(<generator doing cpu_delay(seconds); finish()>)``;
-        see :class:`_DelayOp`.  Pass ``completes=False`` when ``finish``
-        itself continues the mirrored process (e.g. into a send)."""
-        _DelayOp(self, seconds, label, finish, completes)
+        spawning a Process; see :class:`_DelayOp`."""
+        _DelayOp(self, seconds, label, finish)
 
     def cpu_delay(self, seconds: float, label: str = "cpu") -> Generator:
         """Process: occupy one core for a fixed time (protocol overheads)."""

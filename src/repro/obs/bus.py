@@ -47,6 +47,7 @@ POINT_KINDS = frozenset({
     "spawn",           # a job was created and pushed into a work deque
     "steal_attempt",   # a thief sent a steal request
     "steal_success",   # a thief received a job
+    "steal_salvage",   # a late steal reply's job was pushed on the thief
     "result_recv",     # a stolen job's result arrived back at its origin
     "crash",           # fault injection took a node down
     "orphan_requeue",  # a dead thief's job was re-queued at its origin

@@ -11,9 +11,9 @@ over :class:`repro.sim.network.Endpoint`:
   :class:`SharedObjectUpdate`, :class:`UserMessage`, :class:`RuntimeInfo`);
   the wire tag is a class attribute, so the tag/shape pairing lives in
   exactly one place,
-* **dispatch** — each node runs one :class:`CommChannel` whose dispatch
-  loop decodes incoming messages and routes them to handlers registered by
-  message *type* (unknown tags are dropped, matching the historical loop),
+* **dispatch** — each node runs one :class:`CommChannel` whose callback
+  pump decodes incoming messages and routes them to handlers registered by
+  message *type* (unknown tags are dropped),
 * **request/reply** — :meth:`CommChannel.request` pairs a request with its
   reply via a runtime-global ``req_id``, with optional *reply-timeout +
   bounded-retry* semantics: a dead or partitioned victim makes the request
@@ -46,7 +46,7 @@ from typing import (
     Type,
 )
 
-from ..sim.engine import Environment, Event, Interrupt, Timeout, first_of
+from ..sim.engine import Environment, Event, Timeout, first_of
 from ..sim.network import Endpoint
 from .job import Job
 
@@ -241,10 +241,11 @@ class CommChannel:
         self.env = layer.env
         self.endpoint = endpoint
         self.rank = endpoint.rank
-        #: message type -> handler(msg); handlers run inside the dispatch
-        #: loop and must not block (spawn a process for slow work)
+        #: message type -> handler(msg); handlers run inside the pump's
+        #: callback and must not block (start a process or callback chain
+        #: for slow work)
         self._handlers: Dict[Type[SatinMessage], Callable[[SatinMessage], None]] = {}
-        #: armed mailbox getter of the callback pump (fast dispatch)
+        #: armed mailbox getter of the callback pump
         self._pending_get: Any = None
 
     # -- handler registration ------------------------------------------------
@@ -270,8 +271,7 @@ class CommChannel:
 
     def post(self, dst: int, msg: SatinMessage, nbytes: float = 0.0) -> None:
         """Fire-and-forget send: like ``env.process(channel.send(...))``
-        but with no Process on the fast path (see :meth:`Network.post`).
-        Event order is identical either way."""
+        but with no Process (see :meth:`Network.post`)."""
         endpoint = self.endpoint
         endpoint.network.post(endpoint, dst, msg.WIRE_TAG, msg, nbytes)
 
@@ -279,9 +279,8 @@ class CommChannel:
                     nbytes: float = 0.0) -> None:
         """Start a transfer that claims the NIC *at this exact moment* —
         as a blocking :meth:`send` from a running process would — but
-        resumes nobody on delivery.  Replaces a blocking send whose caller
-        has nothing left to do; only valid on the network fast path
-        (callers check ``network.fast_transmit``)."""
+        resumes nobody on delivery.  For a sender with nothing left to do
+        after the send (e.g. a steal reply)."""
         endpoint = self.endpoint
         endpoint.network._begin(endpoint, dst, msg.WIRE_TAG, msg, nbytes,
                                 None)
@@ -340,15 +339,14 @@ class CommChannel:
 
     # -- receiving -----------------------------------------------------------
     def start_pump(self) -> None:
-        """Begin consuming the mailbox via callbacks (fast dispatch).
+        """Begin the node's receive loop: consume the mailbox via callbacks.
 
-        Event-identical to ``env.process(channel.dispatch())``: a
-        front-priority starter stands in for the Process's ``Initialize``
-        (so the first mailbox getter is armed at the same pop), then one
-        getter per message, re-armed right after each handler runs — only
-        the per-message generator resumption is gone.  Crash parity is
-        :meth:`stop_pump` (the runtime calls it where it would have
-        interrupted the dispatch process).
+        A front-priority starter arms the first mailbox getter; each
+        delivered :class:`~repro.sim.network.Message` is decoded into its
+        typed payload and routed to the registered handler, and the getter
+        is re-armed right after the handler runs.  Messages whose type has
+        no handler, and below-protocol traffic (app broadcasts etc.), are
+        dropped.  A node crash ends the loop via :meth:`stop_pump`.
         """
         env = self.env
         starter = Event(env)
@@ -372,11 +370,10 @@ class CommChannel:
         self._arm()
 
     def stop_pump(self) -> None:
-        """Stop the pump, mirroring an interrupt of the dispatch process:
-        the armed getter stays registered (so, like the unhooked
-        generator's pending ``recv``, it silently swallows at most one
-        more delivered message) but resumes nothing and never re-arms.
-        No-op when the pump never started (slow path)."""
+        """Stop the pump (node crash): the armed getter stays registered,
+        so it silently swallows at most one more delivered message, but
+        it runs no handler and never re-arms.  No-op when the pump never
+        started."""
         get = self._pending_get
         if get is not None and get.callbacks is not None:
             try:
@@ -384,24 +381,3 @@ class CommChannel:
             except ValueError:  # pragma: no cover - already delivered
                 pass
         self._pending_get = None
-
-    def dispatch(self) -> Generator:
-        """Process: the node's message loop.
-
-        Decodes each delivered :class:`~repro.sim.network.Message` into its
-        typed payload and routes it to the registered handler.  Messages
-        whose type has no handler are dropped (e.g. the runtime-info
-        broadcast on runtimes that ignore it).  An :class:`Interrupt`
-        (node crash) ends the loop.
-        """
-        try:
-            while True:
-                wire = yield self.endpoint.recv()
-                msg = wire.payload
-                if not isinstance(msg, SatinMessage):
-                    continue  # below-protocol traffic (app broadcasts etc.)
-                handler = self._handlers.get(type(msg))
-                if handler is not None:
-                    handler(msg)
-        except Interrupt:
-            return

@@ -92,8 +92,7 @@ class FaultTolerance:
                 rt.obs.emit("crash", node=rank)
             for proc in rt._processes.get(rank, []):
                 proc.interrupt("node crashed")
-            # Fast dispatch runs as a callback pump, not a process; this
-            # is its interrupt (a no-op when the node uses the slow loop).
+            # The receive loop is a callback pump, not a process.
             channel = rt.comm.channels.get(rank)
             if channel is not None:
                 channel.stop_pump()

@@ -115,14 +115,6 @@ class RuntimeConfig:
     #: off no detector exists and seeded obs event streams are
     #: byte-identical to an uninstrumented runtime.
     detect_races: bool = False
-    #: serve steal requests / absorb returned results on zero-process
-    #: callback chains instead of spawned generator processes.  Event
-    #: streams are byte-identical either way (the chains replay the
-    #: generators' event structure exactly); the switch exists for A/B
-    #: regression tests.  Engages only while the network fast path is
-    #: also on, so forcing ``Network.fast_transmit = False`` restores the
-    #: full reference behavior in one place.
-    fast_protocol: bool = True
     #: batch numpy leaf execution through ``App.leaf_batch`` where the
     #: application supports it (matmul, n-body, k-means) — one vectorized
     #: call per flush instead of per-leaf python.  Leaf *timing* and event
@@ -223,24 +215,15 @@ class SatinRuntime:
     def _attach_channel(self, node: ComputeNode) -> None:
         """Wire one node's typed protocol handlers."""
         ch = self.comm.attach(node.endpoint)
-        # Serving happens off the dispatch loop (a sub-process, or its
-        # zero-process equivalent) so a busy CPU delays the reply without
-        # blocking later messages' bookkeeping order.  The fast/slow branch
-        # is taken per message: both produce identical event streams, and
-        # checking ``fast_transmit`` here lets tests force the whole
-        # reference path through one switch.
+        # Serving and absorbing run on their own callback chains, off the
+        # pump, so a busy CPU delays the reply without blocking later
+        # messages' bookkeeping order.
         ch.on(StealRequest, lambda msg, node=node:
-              self._serve_steal_fast(node, msg)
-              if self.config.fast_protocol
-              and node.endpoint.network.fast_transmit
-              else self.env.process(self._serve_steal(node, msg)))
+              self._serve_steal(node, msg))
         ch.on(StealReply, lambda msg, node=node:
               self._on_steal_reply(node, msg))
         ch.on(ResultReturn, lambda msg, node=node:
-              self._absorb_result_fast(node, msg)
-              if self.config.fast_protocol
-              and node.endpoint.network.fast_transmit
-              else self.env.process(self._absorb_result(node, msg)))
+              self._absorb_result(node, msg))
         ch.on(SharedObjectUpdate, lambda msg, node=node:
               self._on_shared_update(node, msg))
         ch.on(UserMessage, lambda msg, node=node:
@@ -365,21 +348,12 @@ class SatinRuntime:
     # node processes
     # ------------------------------------------------------------------
     def _start_nodes(self) -> None:
-        fast = (self.config.fast_protocol
-                and self.cluster.network.fast_transmit)
         for node in self.cluster.nodes:
-            channel = self.comm.channel(node.rank)
-            procs: List[Process] = []
-            if fast:
-                # Callback pump instead of a dispatch process; its
-                # "interrupt" is channel.stop_pump(), wired into
-                # FaultTolerance.crash_node.
-                channel.start_pump()
-            else:
-                procs.append(self.env.process(channel.dispatch()))
-            for w in range(self.config.workers_per_node):
-                procs.append(self.env.process(self._worker(node, w)))
-            self._processes[node.rank] = procs
+            # The pump is stopped by FaultTolerance.crash_node.
+            self.comm.channel(node.rank).start_pump()
+            self._processes[node.rank] = [
+                self.env.process(self._worker(node, w))
+                for w in range(self.config.workers_per_node)]
 
     def _root(self, master: ComputeNode, root_task: Any) -> Generator:
         result = yield from self.app.program(self, master, root_task)
@@ -470,38 +444,15 @@ class SatinRuntime:
     # ------------------------------------------------------------------
     # protocol handlers (registered on the node's CommChannel)
     # ------------------------------------------------------------------
-    def _serve_steal(self, node: ComputeNode, msg: StealRequest) -> Generator:
-        """Reference (slow-path) steal service, kept for A/B regression."""
-        yield from node.cpu_delay(self.config.steal_handle_overhead_s,
-                                  label="steal-serve")
-        job = self.deques[node.rank].steal()
-        nbytes = self.config.control_message_bytes
-        if job is not None:
-            job.thief_rank = msg.thief
-            self.ft.record_stolen(job)
-            nbytes += self.app.task_bytes(job.task)
-        if self.obs.enabled:
-            self.obs.emit("steal", node=node.rank,
-                          lane=f"node{node.rank}/steal",
-                          start=self.env.now, end=self.env.now,
-                          label="serve", thief=msg.thief,
-                          hit=job is not None)
-        yield from self.comm.channel(node.rank).send(
-            msg.thief, StealReply(req_id=msg.req_id, job=job), nbytes=nbytes)
-
-    def _serve_steal_fast(self, node: ComputeNode, msg: StealRequest) -> None:
-        """Zero-process steal service: same events as :meth:`_serve_steal`
-        (via :meth:`ComputeNode.cpu_delay_async`), minus only the spawned
-        process's waiter-free put/completion pops."""
+    def _serve_steal(self, node: ComputeNode, msg: StealRequest) -> None:
+        """Charge the steal-handling overhead on a core, then reply."""
         node.cpu_delay_async(
             self.config.steal_handle_overhead_s, "steal-serve",
-            lambda: self._finish_serve_steal(node, msg),
-            completes=False)
+            lambda: self._finish_serve_steal(node, msg))
 
     def _finish_serve_steal(self, node: ComputeNode,
                             msg: StealRequest) -> None:
-        # Body mirrors _serve_steal after its cpu_delay, with the blocking
-        # reply send replaced by an inline-NIC-claim fire-and-forget.
+        # The reply claims the NIC inline, at the moment the overhead ends.
         job = self.deques[node.rank].steal()
         nbytes = self.config.control_message_bytes
         if job is not None:
@@ -530,15 +481,8 @@ class SatinRuntime:
                           req_id=msg.req_id, job_id=msg.job.id)
         self.deques[node.rank].push(msg.job)
 
-    def _absorb_result(self, node: ComputeNode, msg: ResultReturn) -> Generator:
-        """Reference (slow-path) result absorption, kept for A/B regression."""
-        yield from node.cpu_delay(self.config.result_handle_overhead_s,
-                                  label="result-recv")
-        self._finish_absorb(node, msg)
-
-    def _absorb_result_fast(self, node: ComputeNode,
-                            msg: ResultReturn) -> None:
-        """Zero-process result absorption (same events, no generator)."""
+    def _absorb_result(self, node: ComputeNode, msg: ResultReturn) -> None:
+        """Charge the result-handling overhead on a core, then absorb."""
         node.cpu_delay_async(
             self.config.result_handle_overhead_s, "result-recv",
             lambda: self._finish_absorb(node, msg))

@@ -115,32 +115,29 @@ class Endpoint:
 
 
 class _TransmitOp:
-    """One in-flight transfer on the zero-process fast path.
+    """One in-flight transfer, driven by a chain of event callbacks.
 
-    A small callback chain that replays the slow generator's event
-    structure exactly — same events, created at the same virtual times, so
-    every heap seq (and therefore every downstream resumption order) is
-    unchanged:
+    A transfer takes four hops, each a queue pop that calls one method:
 
-    ========================  ==================================  =========
-    slow path                 fast path                           queue pop
-    ========================  ==================================  =========
-    ``yield nic.request()``   ``_Request`` created in __init__    grant
-    resume → ser ``Timeout``  ``_granted`` → ser hop ``Timeout``  ser done
-    resume → release + lat    ``_ser_done`` → release + lat hop   delivered
-    resume → counters + put   ``_deliver`` → counters + succeed   caller
-    ========================  ==================================  =========
+    1. **grant** — the sender's NIC request (made in ``__init__``) is
+       granted; :meth:`_granted` starts serialization.
+    2. **serialize** — a ``Timeout`` of per-message overhead plus
+       ``nbytes / bandwidth`` occupies the NIC; :meth:`_ser_done` frees it
+       and starts the fabric latency.
+    3. **latency** — a ``Timeout`` of ``latency_s`` that does not occupy
+       the NIC; :meth:`_deliver` runs when it pops.
+    4. **deliver** — byte/message counters and the ``send`` obs interval
+       are charged, the message lands in the receiver's mailbox, and a
+       blocking caller's ``done`` event succeeds with the message.
 
-    The difference is that only the *last* pop resumes a generator (the
-    blocking caller waiting on ``done``); the other three dispatch to these
-    plain methods.  Fire-and-forget sends (``done is None``) resume nobody.
+    No process exists per transfer: only a blocking caller waiting on
+    ``done`` is resumed.  Fire-and-forget sends (``done is None``) resume
+    nobody.
 
-    Interrupt parity: a blocking caller's ``transmit`` wrapper calls
-    :meth:`cancel` from its ``finally`` when interrupted mid-transfer,
-    which frees the NIC at interrupt-delivery time — the same moment the
-    slow generator's ``try/finally`` would — and marks the op dead so the
-    already-queued hop events pop inert, exactly like the slow path's
-    orphaned Timeouts.
+    Interrupts: a blocking caller's ``transmit`` calls :meth:`cancel` from
+    its ``finally`` when interrupted mid-transfer, which frees the NIC at
+    interrupt-delivery time and marks the op dead so the hop events
+    already queued pop inert.
     """
 
     __slots__ = ("network", "src_ep", "dst_ep", "msg", "nbytes", "done",
@@ -162,7 +159,7 @@ class _TransmitOp:
         self.req = req
 
     def cancel(self) -> None:
-        """Abort like the slow path's ``finally``: free the NIC *now*."""
+        """Abort the transfer: free the NIC *now*."""
         self.dead = True
         if not self.released:
             self.released = True
@@ -212,7 +209,8 @@ class _TransmitOp:
         network.total_messages += 1
         obs = env.obs
         if obs.enabled:
-            # Same interval the slow path emits, fields byte-for-byte.
+            # One interval per message on the sender's NIC lane: NIC
+            # injection start to delivery (the paper's node<->node bars).
             obs.emit("send", node=src_ep.rank,
                      lane=f"node{src_ep.rank}/net",
                      start=self.inject_start, end=env._now,
@@ -221,33 +219,15 @@ class _TransmitOp:
         mailbox = dst_ep.mailbox
         if not mailbox._putters and len(mailbox.items) < mailbox.capacity:
             if done is not None:
-                # The caller's resume event takes the slow path's put-pop
-                # slot (same seq position), preceding the getter's.
+                # The caller's resume event is queued before the getter's.
                 done.succeed(msg)
-                mailbox.put_nowait(msg)
-            else:
-                # Fire-and-forget: the spawned sender would have popped a
-                # put event and then its process-completion event.  Keep
-                # both pops (as inert events in the identical seq slots) so
-                # fast and slow runs process *exactly* the same events —
-                # the determinism contract, and what keeps sim_events
-                # comparable across the recorded perf trajectory.
-                filler = Event(env)
-                filler.callbacks.append(self._completed)
-                filler.succeed(msg)
-                mailbox.put_nowait(msg)
+            mailbox.put_nowait(msg)
         else:
-            # Bounded/contended mailbox: fall back to a queued put and
-            # resume the caller when it lands, as the slow path does.
+            # Bounded/contended mailbox: queue the put and resume the
+            # caller when it lands.
             put = mailbox.put(msg)
             if done is not None:
                 put.callbacks.append(lambda _e, d=done, m=msg: d.succeed(m))
-            else:
-                put.callbacks.append(self._completed)
-
-    def _completed(self, _event: Event) -> None:
-        """Inert stand-in for the spawned sender's completion-event pop."""
-        Event(self.network.env).succeed(None)
 
 
 class Network:
@@ -260,11 +240,6 @@ class Network:
         #: int 0 start: integral charges accumulate exactly (see _exact)
         self.total_bytes: Any = 0
         self.total_messages = 0
-        #: When True (default), transfers use the zero-process callback
-        #: chain (:class:`_TransmitOp`); when False, the original generator
-        #: path.  Both produce byte-identical event streams — the switch
-        #: exists for A/B regression tests and debugging.
-        self.fast_transmit = True
 
     def attach(self, rank: int) -> Endpoint:
         if rank in self.endpoints:
@@ -275,7 +250,7 @@ class Network:
 
     def _begin(self, src_ep: Endpoint, dst: int, tag: str, payload: Any,
                nbytes: float, done: Optional[Event]) -> _TransmitOp:
-        """Start a fast-path transfer; returns the op driving it."""
+        """Start a transfer; returns the op driving it."""
         dst_ep = self.endpoints.get(dst)
         if dst_ep is None:
             raise SimulationError(f"no endpoint with rank {dst}")
@@ -287,16 +262,12 @@ class Network:
              payload: Any, nbytes: float) -> None:
         """Fire-and-forget transfer, no Process spawned.
 
-        Drop-in replacement for ``env.process(network.transmit(...))``:
-        the front-priority starter event below occupies exactly the queue
-        slot the Process's ``Initialize`` event would have, so the NIC is
-        claimed at the same virtual moment with the same heap seq — event
-        order relative to the caller's subsequent sends is unchanged.
+        The NIC is claimed by a front-priority starter event rather than
+        inline, so a caller's subsequent sends in the same step queue
+        behind it in the same order as ``env.process(network.transmit(...))``
+        would put them.
         """
         env = self.env
-        if not self.fast_transmit:
-            env.process(self.transmit(src_ep, dst, tag, payload, nbytes))
-            return
         starter = Event(env)
         starter._ok = True
         starter._value = None
@@ -307,62 +278,15 @@ class Network:
     def transmit(self, src_ep: Endpoint, dst: int, tag: str,
                  payload: Any, nbytes: float) -> Generator:
         """Process body implementing one message transfer."""
-        if self.fast_transmit:
-            done = Event(self.env)
-            op = self._begin(src_ep, dst, tag, payload, nbytes, done)
-            try:
-                result = yield done
-            finally:
-                if not done.triggered:
-                    # Interrupted mid-transfer: behave like the slow
-                    # generator's try/finally at this exact moment.
-                    op.cancel()
-            return result
-        msg = yield from self._transmit_slow(src_ep, dst, tag, payload, nbytes)
-        return msg
-
-    def _transmit_slow(self, src_ep: Endpoint, dst: int, tag: str,
-                       payload: Any, nbytes: float) -> Generator:
-        """Original generator transfer (kept as the A/B reference path)."""
-        if dst not in self.endpoints:
-            raise SimulationError(f"no endpoint with rank {dst}")
-        env = self.env
-        spec = self.spec
-        msg = Message(src=src_ep.rank, dst=dst, tag=tag, payload=payload,
-                      nbytes=nbytes, send_time=env.now)
-        # Hot path (one per protocol message): claim the NIC with an
-        # explicit try/finally instead of the context-manager protocol,
-        # and build Timeouts directly.  Event order is unchanged.
-        nic = src_ep.nic
-        req = yield nic.request()
+        done = Event(self.env)
+        op = self._begin(src_ep, dst, tag, payload, nbytes, done)
         try:
-            # Serialization occupies the sender's injection link.
-            inject_start = env.now
-            yield Timeout(env, spec.per_message_overhead_s
-                          + nbytes / spec.bandwidth_bps)
+            result = yield done
         finally:
-            nic.release(req)
-        # Fabric latency does not occupy the NIC.
-        yield Timeout(env, spec.latency_s)
-        msg.recv_time = env.now
-        charge = _exact(nbytes)
-        src_ep.bytes_sent += charge
-        src_ep.messages_sent += 1
-        dst_ep = self.endpoints[dst]
-        dst_ep.bytes_received += charge
-        dst_ep.messages_received += 1
-        self.total_bytes += charge
-        self.total_messages += 1
-        obs = env.obs
-        if obs.enabled:
-            # One interval per message on the sender's NIC lane: NIC
-            # injection start to delivery (the paper's node<->node bars).
-            obs.emit("send", node=src_ep.rank,
-                     lane=f"node{src_ep.rank}/net",
-                     start=inject_start, end=env.now,
-                     label=tag, dst=dst, nbytes=nbytes)
-        yield dst_ep.mailbox.put(msg)
-        return msg
+            if not done.triggered:
+                # Interrupted mid-transfer: free the NIC at this moment.
+                op.cancel()
+        return result
 
     def broadcast(self, src_ep: Endpoint, tag: str, payload: Any,
                   nbytes: float, ranks: Optional[Iterable[int]] = None) -> Generator:

@@ -107,7 +107,7 @@ def test_stream_is_replayable_json_lines():
 # streams *across* builds: any refactor of the spawn/sync machinery, the
 # scheduler, or the protocol chains that changes even one event is a
 # regression and must either be reverted or consciously re-golden-ed with
-# a changelog note.  Configs mirror tests/test_fastpath_ab.py.
+# a changelog note.  Configs mirror tests/test_fastpaths.py.
 
 GOLDEN_STREAM_HASHES = {
     "kmeans":

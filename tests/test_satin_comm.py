@@ -35,8 +35,8 @@ def _two_node_layer(**layer_kwargs):
     layer = CommLayer(env, **layer_kwargs)
     ch0 = layer.attach(cluster.node(0).endpoint)
     ch1 = layer.attach(cluster.node(1).endpoint)
-    env.process(ch0.dispatch())
-    env.process(ch1.dispatch())
+    ch0.start_pump()
+    ch1.start_pump()
     return cluster, env, layer, ch0, ch1
 
 

@@ -211,4 +211,4 @@ def test_findings_are_tagged_with_kernel_and_level():
     """
     found = findings_for(src, "MCL101")
     assert found
-    assert found[0].kernel == "probe@perfect"
+    assert found[0].origin == "probe@perfect"
