@@ -18,6 +18,7 @@ copies (Sec. II-C1)::
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Generator, Optional
 
 from ..devices.device import SimDevice
@@ -75,36 +76,30 @@ class KernelLaunch:
 
     def execute(self, params: Dict[str, Any], h2d_bytes: float,
                 d2h_bytes: float) -> Generator:
-        """Process: run the launch (transfers + kernel, overlappable)."""
+        """Process: run the launch through :meth:`SimDevice.launch`.
+
+        Raises :class:`MemoryError` when ``h2d_bytes + d2h_bytes`` exceeds
+        the device, unless ``CashmereConfig.out_of_core`` streams it.
+        """
         if self.launched:
             raise KernelLaunchError("a KernelLaunch is single-use")
         self.launched = True
         kernel = self.kernel
         runtime = kernel.runtime
         if self.pinned is not None:
-            decision = self.pinned.decision
-            device = self.pinned.device
-            own_reservation = False
+            decision = self.pinned.decision  # the pin owns the reservation
+            release = None
         else:
             decision = runtime.scheduler.choose(kernel.node.devices, kernel.name)
-            device = decision.device
-            own_reservation = True
+            release = partial(runtime.scheduler.job_finished, decision)
+        device = decision.device
         compiled = runtime._node_kernels[kernel.node.rank][kernel.name][
             device.spec.name]
         profile = compiled.profile(params, h2d_bytes=h2d_bytes,
                                    d2h_bytes=d2h_bytes, label=kernel.name)
-        footprint = h2d_bytes + d2h_bytes
-        try:
-            if footprint > 0:
-                yield device.alloc(footprint)
-            yield from device.copy_to_device(h2d_bytes, label=f"{kernel.name}-in")
-            yield from device.run_kernel(profile, label=kernel.name)
-            yield from device.copy_from_device(d2h_bytes, label=f"{kernel.name}-out")
-        finally:
-            if footprint > 0:
-                yield device.free(footprint)
-            if own_reservation:
-                runtime.scheduler.job_finished(decision)
+        yield from device.launch(profile, kernel.name,
+                                 stream=runtime.config.out_of_core,
+                                 release=release)
 
 
 class KernelHandle:

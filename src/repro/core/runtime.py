@@ -9,9 +9,10 @@ Cashmere extends the Satin runtime with (Sec. II-C, III-B):
   stop producing stealable jobs and become node-local threads feeding the
   devices (handled by the base class via :meth:`_manycore_enabled`),
 * **leaf execution on devices** — a leaf picks a device with the intra-node
-  min-makespan scheduler, stages input over PCIe, runs the MCL kernel, and
-  copies results back; the three device engines let transfers overlap kernel
-  executions (Fig. 16),
+  min-makespan scheduler and runs
+  :meth:`~repro.devices.device.SimDevice.launch`: stage input over
+  PCIe, run the MCL kernel, copy results back; the three device engines let
+  transfers overlap kernel executions (Fig. 16),
 * **automatic device memory management** — a launch blocks until its working
   set fits in device memory,
 * **CPU fallback** — if the kernel launch fails, the leaf runs on the CPU
@@ -20,11 +21,11 @@ Cashmere extends the Satin runtime with (Sec. II-C, III-B):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, Generator, Optional
 
 from ..cluster.das4 import SimCluster
 from ..cluster.node import ComputeNode
-from ..devices.device import SimDevice
 from ..mcl.kernels import KernelLibrary
 from ..satin.comm import RuntimeInfo
 from ..satin.job import DivideConquerApp
@@ -79,10 +80,11 @@ class CashmereConfig(RuntimeConfig):
         self.runtime_info_bytes = runtime_info_bytes
         #: intra-node device placement policy (see DeviceScheduler)
         self.scheduler_policy = scheduler_policy
-        #: stream leaves whose working set exceeds device memory in chunks
-        #: (the paper's future work, Sec. VI: "Glasswing supports out-of-core
-        #: data which Cashmere does not support yet").  Off by default, in
-        #: which case oversized leaves fall back to the CPU (Fig. 4).
+        #: stream launches (leaves and explicit ``MCL.launch``) whose working
+        #: set exceeds device memory in chunks (the paper's future work,
+        #: Sec. VI: "Glasswing supports out-of-core data which Cashmere does
+        #: not support yet").  Off by default, in which case oversized
+        #: launches raise MemoryError and leaves fall back to the CPU (Fig. 4).
         self.out_of_core = out_of_core
 
 
@@ -209,66 +211,14 @@ class CashmereRuntime(SatinRuntime):
         decision = self.scheduler.choose(node.devices, kernel_name)
         device = decision.device
         compiled = self._node_kernels[node.rank][kernel_name][device.spec.name]
-        params = app.leaf_kernel_params(task)
-        h2d = app.leaf_h2d_bytes(task)
-        d2h = app.leaf_d2h_bytes(task)
-        profile = compiled.profile(params, h2d_bytes=h2d, d2h_bytes=d2h,
+        profile = compiled.profile(app.leaf_kernel_params(task),
+                                   h2d_bytes=app.leaf_h2d_bytes(task),
+                                   d2h_bytes=app.leaf_d2h_bytes(task),
                                    label=kernel_name)
-        footprint = h2d + d2h
-        if footprint > device.spec.mem_bytes and self.config.out_of_core:
-            try:
-                yield from self._launch_out_of_core(device, profile,
-                                                    kernel_name)
-            finally:
-                self.scheduler.job_finished(decision)
+        # raises MemoryError (-> CPU fallback) if the leaf cannot fit
+        launches = yield from device.launch(
+            profile, kernel_name, stream=self.config.out_of_core,
+            release=partial(self.scheduler.job_finished, decision))
+        if launches > 1:
             self.stats.count_out_of_core()
-            return self._leaf_token(task)
-        try:
-            yield device.alloc(footprint)   # raises MemoryError if impossible
-        except MemoryError:
-            self.scheduler.job_finished(decision)
-            raise
-        try:
-            yield from device.copy_to_device(h2d, label=f"{kernel_name}-in")
-            yield from device.run_kernel(profile, label=kernel_name)
-            yield from device.copy_from_device(d2h, label=f"{kernel_name}-out")
-        finally:
-            self.scheduler.job_finished(decision)
-            yield device.free(footprint)
         return self._leaf_token(task)
-
-    def _launch_out_of_core(self, device: SimDevice, profile: Any,
-                            kernel_name: str) -> Generator:
-        """Stream an oversized leaf through the device in pipelined chunks.
-
-        The launch is split into equal fractions small enough that two
-        chunks fit in device memory simultaneously, so chunk *k+1*'s input
-        transfer overlaps chunk *k*'s kernel.  Each chunk is a linearly
-        scaled copy of the full launch profile.
-        """
-        import math
-
-        footprint = profile.h2d_bytes + profile.d2h_bytes
-        # Two resident chunks for the pipeline, with some headroom.
-        chunk_budget = device.spec.mem_bytes * 0.45
-        chunks = max(int(math.ceil(footprint / chunk_budget)), 2)
-        part = profile.scaled(1.0 / chunks)
-        part_bytes = part.h2d_bytes + part.d2h_bytes
-
-        def one_chunk(index: int) -> Generator:
-            yield device.alloc(part_bytes)
-            try:
-                yield from device.copy_to_device(
-                    part.h2d_bytes, label=f"{kernel_name}-ooc{index}-in")
-                yield from device.run_kernel(
-                    part, label=f"{kernel_name}-ooc{index}")
-                yield from device.copy_from_device(
-                    part.d2h_bytes, label=f"{kernel_name}-ooc{index}-out")
-            finally:
-                yield device.free(part_bytes)
-
-        # Chunk processes run concurrently; the device's engines pipeline
-        # them while the memory admission keeps at most two resident.
-        procs = [self.env.process(one_chunk(i)) for i in range(chunks)]
-        for proc in procs:
-            yield proc

@@ -7,6 +7,10 @@ transfers can overlap kernel executions exactly as the paper exploits
 "automatically manages the available memory on a device", which we model as
 blocking allocation: a launch waits until its working set fits.
 
+:meth:`SimDevice.launch` is the one launch sequence of the repository —
+admit, stage, kernel, copy out, free — shared by Cashmere leaves, the
+explicit ``MCL.launch`` API and task-graph nodes.
+
 The device also keeps *measured* kernel times per kernel name.  These feed
 the intra-node load balancer (Sec. III-B): the first jobs are placed with the
 static relative-speed table, afterwards placement uses measured times.
@@ -14,7 +18,8 @@ static relative-speed table, afterwards placement uses measured times.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional
+import math
+from typing import Callable, Dict, Generator, Optional
 
 from ..sim.engine import Environment
 from ..sim.resources import Container, Resource
@@ -137,6 +142,69 @@ class SimDevice:
                          label=label or profile.name, kernel=profile.name,
                          device=self.spec.name, flops=profile.flops)
         return duration
+
+    # -- the launch sequence -----------------------------------------------
+    def launch(self, profile: KernelProfile, label: str, *,
+               footprint: Optional[float] = None,
+               stage: Optional[Generator] = None,
+               stream: bool = False,
+               release: Optional[Callable[[], None]] = None) -> Generator:
+        """Process: one kernel launch, the sequence of Sec. II-C / Fig. 4.
+
+        1. wait until ``footprint`` bytes of device memory are free
+           (default: the profile's ``h2d_bytes + d2h_bytes``),
+        2. stage the inputs — ``stage`` when given (a caller-built
+           process, e.g. a graph node's per-edge transfers), otherwise an
+           h2d copy of ``profile.h2d_bytes``,
+        3. run the kernel,
+        4. copy ``profile.d2h_bytes`` back,
+        5. free the memory, also when a step fails.
+
+        ``release`` (the caller's scheduler bookkeeping) runs exactly once
+        when the launch ends, however it ends, just before the memory is
+        returned.  A footprint larger than the whole device raises
+        :class:`MemoryError` before anything is allocated, unless
+        ``stream`` is set: then the profile is streamed through the device
+        in pipelined chunks (out of core; a custom ``stage`` is not
+        streamed).  Returns the number of kernel launches it took: 1 in
+        core, at least 2 streamed.
+        """
+        if footprint is None:
+            footprint = profile.h2d_bytes + profile.d2h_bytes
+        if footprint > self.spec.mem_bytes:
+            try:
+                if not stream:
+                    raise MemoryError(
+                        f"launch {label!r} needs {footprint:.0f} B, more than "
+                        f"{self.spec.name} memory ({self.spec.mem_bytes:.0f} B)")
+                # Equal fractions small enough that two chunks are resident
+                # at once (with headroom), so chunk k+1's input transfer
+                # overlaps chunk k's kernel; memory admission keeps at most
+                # two resident while the device's engines pipeline them.
+                chunks = max(math.ceil(footprint / (self.spec.mem_bytes * 0.45)), 2)
+                part = profile.scaled(1.0 / chunks)
+                procs = [self.env.process(self.launch(part, f"{label}-ooc{i}"))
+                         for i in range(chunks)]
+                for proc in procs:
+                    yield proc
+                return chunks
+            finally:
+                if release is not None:
+                    release()
+        if footprint > 0:
+            yield self.alloc(footprint)
+        try:
+            if stage is None:
+                stage = self.copy_to_device(profile.h2d_bytes, label=f"{label}-in")
+            yield from stage
+            yield from self.run_kernel(profile, label=label)
+            yield from self.copy_from_device(profile.d2h_bytes, label=f"{label}-out")
+        finally:
+            if release is not None:
+                release()
+            if footprint > 0:
+                yield self.free(footprint)
+        return 1
 
     # -- scheduler support ---------------------------------------------------
     def predict_time(self, kernel_name: str, fallback_reference: float,

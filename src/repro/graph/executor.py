@@ -3,9 +3,11 @@
 The executor is the static-graph twin of the Satin runtime: the same
 :class:`~repro.satin.job.DependencyTracker` ready-set machinery drives
 dispatch, but the DAG is known up front, so the device scheduler can look
-ahead.  Every node runs as one kernel launch on one device of the
-flattened cluster-wide pool:
+ahead.  Every node runs as one :meth:`~repro.devices.device.SimDevice.launch`
+on one device of the flattened cluster-wide pool:
 
+* the launch first waits until the node's footprint — ``in_bytes`` +
+  every in-edge buffer + ``out_bytes`` — fits in device memory,
 * inputs produced on a **different** device are materialised via
   d2h → (network, when the producer lives on another node) → h2d,
   inputs produced on the **same** device are free (device-resident),
@@ -15,7 +17,9 @@ flattened cluster-wide pool:
 Placement goes through the unified device-policy registry
 (:mod:`repro.core.policy`, kind ``"device"``): the greedy policies see one
 ready node at a time, :class:`~repro.core.scheduler.LookaheadMakespanPolicy`
-additionally receives the whole graph via the ``graph_*`` hooks.
+additionally receives the whole graph via the ``graph_*`` hooks.  Policies
+are offered only the devices whose memory can hold the node's footprint; a
+node that fits no device raises :class:`~repro.graph.model.GraphError`.
 
 Observability: ``graph_node_ready`` / ``graph_node_dispatch`` /
 ``graph_node_complete`` point events, plus the usual ``h2d``/``d2h``/
@@ -24,7 +28,7 @@ Observability: ``graph_node_ready`` / ``graph_node_dispatch`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..cluster.das4 import SimCluster
@@ -34,7 +38,8 @@ from ..core.scheduler import DevicePlacementPolicy, SchedulingDecision
 from ..devices.device import SimDevice
 from ..devices.perfmodel import kernel_time, transfer_time
 from ..satin.job import DependencyTracker
-from .model import DataEdge, TaskGraph
+from ..sim.engine import Event
+from .model import DataEdge, GraphError, TaskGraph
 
 __all__ = ["GraphConfig", "GraphRunResult", "GraphRuntime"]
 
@@ -125,7 +130,7 @@ class GraphRuntime:
         self._ctx = _ScheduleContext(self)
         self._completed = 0
         self._cross_device_bytes = 0.0
-        self._wake = None
+        self._wake: Optional[Event] = None
 
     # -- cost estimates (policy-facing) -------------------------------------
     def _edge_cost(self, nbytes: float, src: SimDevice,
@@ -199,10 +204,21 @@ class GraphRuntime:
     def _dispatch(self, name: str) -> None:
         spec = self.graph.nodes[name]
         profile = spec.profile()
+        # device memory the node holds while it runs: host input, every
+        # input buffer (resident or staged) and its output buffer
+        footprint = (spec.in_bytes + spec.out_bytes
+                     + sum(edge.nbytes for edge in self.graph.in_edges(name)))
+        fits = [dev for dev in self.devices
+                if dev.spec.mem_bytes >= footprint]
+        if not fits:
+            raise GraphError(
+                f"node {name!r} needs {footprint:.0f} B of device memory, "
+                f"more than any device of cluster "
+                f"{self.cluster.config.name!r} has")
         predictions: Dict[str, Tuple[float, bool]] = {
             dev.lane: (kernel_time(profile, dev.spec), False)
-            for dev in self.devices}
-        decision = self._policy.graph_select(name, self.devices,
+            for dev in fits}
+        decision = self._policy.graph_select(name, fits,
                                              predictions, self._ctx)
         decision.device.pending_work_s += decision.predicted_s
         self._decisions[name] = decision
@@ -213,16 +229,44 @@ class GraphRuntime:
                      kernel=spec.kernel, chosen=decision.device.lane,
                      predicted_s=decision.predicted_s,
                      policy=self.config.scheduler_policy)
-        self.env.process(self._run_node(name, decision))
+        self.env.process(self._run_node(name, decision, footprint))
 
-    def _run_node(self, name: str,
-                  decision: SchedulingDecision) -> Generator:
+    def _run_node(self, name: str, decision: SchedulingDecision,
+                  footprint: float) -> Generator:
         graph = self.graph
         spec = graph.nodes[name]
         dev = decision.device
+        profile = spec.profile()
+        if not graph.out_edges(name):
+            # sink outputs are copied back to the host
+            profile = replace(profile, d2h_bytes=spec.out_bytes)
+
+        def release() -> None:
+            dev.pending_work_s = max(
+                0.0, dev.pending_work_s - decision.predicted_s)
+
+        yield from dev.launch(profile, name, footprint=footprint,
+                              stage=self._stage_inputs(name, dev),
+                              release=release)
+        obs = self.cluster.obs
+        if obs.enabled:
+            obs.emit("graph_node_complete", node=dev.node_rank,
+                     graph=graph.name, graph_node=name, kernel=spec.kernel,
+                     chosen=dev.lane)
+        self._completed += 1
+        self._tracker.complete(name)
+        wake = self._wake
+        if wake is not None and not wake.triggered:
+            self._wake = None
+            wake.succeed()
+
+    def _stage_inputs(self, name: str, dev: SimDevice) -> Generator:
+        """Process: a node's staging — host input, then every cross-device
+        input buffer via d2h → (network) → h2d."""
+        graph = self.graph
         node = self._owner[dev.lane]
-        if spec.in_bytes > 0:
-            yield from dev.copy_to_device(spec.in_bytes, label=f"{name}-in")
+        yield from dev.copy_to_device(graph.nodes[name].in_bytes,
+                                      label=f"{name}-in")
         for edge in graph.in_edges(name):
             src_dev = self._decisions[edge.src].device
             if src_dev is dev:
@@ -238,20 +282,3 @@ class GraphRuntime:
                     node.rank, f"graph:{edge.data}", nbytes=edge.nbytes)
             yield from dev.copy_to_device(
                 edge.nbytes, label=f"{edge.data}-h2d")
-        yield from dev.run_kernel(spec.profile(), label=name)
-        if not graph.out_edges(name) and spec.out_bytes > 0:
-            yield from dev.copy_from_device(
-                spec.out_bytes, label=f"{name}-out")
-        dev.pending_work_s = max(
-            0.0, dev.pending_work_s - decision.predicted_s)
-        obs = self.cluster.obs
-        if obs.enabled:
-            obs.emit("graph_node_complete", node=dev.node_rank,
-                     graph=graph.name, graph_node=name, kernel=spec.kernel,
-                     chosen=dev.lane)
-        self._completed += 1
-        self._tracker.complete(name)
-        wake = self._wake
-        if wake is not None and not wake.triggered:
-            self._wake = None
-            wake.succeed()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .verify.findings import Finding
+    from ..analyze.findings import Finding
 
 from ..devices.perfmodel import KernelProfile
 from ..devices.specs import DeviceSpec, device_spec

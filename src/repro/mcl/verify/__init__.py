@@ -17,10 +17,17 @@ MCL401    error     ``barrier()`` under divergent control flow
 MCL501    error     local/private memory exceeds the level's capacity
 ========  ========  ==========================================================
 
-Intentional violations (SIMD reductions, data-dependent scatter) are
-acknowledged with inline ``// lint: ignore[CODE] justification`` comments in
-the kernel source; see :mod:`.findings`.  The rule catalogue is documented
-in ``docs/lint.md``.
+The diagnostic model — :class:`Finding`, the shared rule registry,
+suppression scanning and the text/JSON renderers — lives in
+:mod:`repro.analyze.findings`, shared with the determinism sanitizer
+(``repro analyze``).  This package registers the ``MCL…`` catalogue there
+and binds the verifier's defaults: intentional violations (SIMD
+reductions, data-dependent scatter) are acknowledged with inline
+``// lint: ignore[CODE] justification`` comments, scanned on the **raw**
+kernel source because the lexer strips comments; the renderers name an
+untagged source ``<kernel>``; and the JSON renderer keeps its
+``"kernel"`` key for each finding's origin tag.  The rule catalogue and
+the suppression grammar are documented in ``docs/lint.md``.
 
 Entry points: :func:`verify_kernel` for one checked kernel,
 :func:`verify_source` for a source string with any number of kernel
@@ -30,13 +37,16 @@ versions, and ``python -m repro lint`` on the command line.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
+from ...analyze.findings import (RULES, Finding, Rule, Severity, Suppressions,
+                                 filter_suppressed, has_errors,
+                                 register_rules)
+from ...analyze.findings import render_json as _render_json
+from ...analyze.findings import render_text as _render_text
+from ...analyze.findings import scan_suppressions as _scan_suppressions
 from ..mcpl.parser import parse_kernels
 from ..mcpl.semantics import KernelInfo, analyze
-from .findings import (Finding, Rule, RULES, Severity, Suppressions,
-                       filter_suppressed, render_json, render_text,
-                       scan_suppressions)
 from .lints import check_bounds, check_dataflow, check_memory, check_params
 from .race import check_races
 
@@ -53,6 +63,50 @@ __all__ = [
     "verify_source",
     "has_errors",
 ]
+
+
+#: the MCL rule catalogue — codes are stable and documented in docs/lint.md
+register_rules([
+    Rule("MCL101", Severity.ERROR,
+         "cross-iteration array race: two foreach iterations may touch "
+         "the same element and at least one access is a write"),
+    Rule("MCL102", Severity.ERROR,
+         "cross-iteration scalar race: a variable declared outside a "
+         "foreach is written inside it"),
+    Rule("MCL201", Severity.ERROR,
+         "possible out-of-bounds subscript: index not provably within "
+         "the declared dimension"),
+    Rule("MCL301", Severity.ERROR,
+         "read of a possibly-uninitialized local variable"),
+    Rule("MCL302", Severity.WARNING,
+         "dead store: assigned value is never read"),
+    Rule("MCL303", Severity.WARNING,
+         "unused kernel parameter"),
+    Rule("MCL401", Severity.ERROR,
+         "barrier under divergent control flow: not all threads are "
+         "guaranteed to reach it"),
+    Rule("MCL501", Severity.ERROR,
+         "declared local/private memory exceeds the hardware level's "
+         "capacity"),
+])
+
+
+def scan_suppressions(source: str) -> Suppressions:
+    """Scan raw kernel source for ``// lint: ignore[...]`` comments."""
+    return _scan_suppressions(source, marker="//", tag="lint")
+
+
+def render_text(findings: Sequence[Finding], *,
+                source_name: str = "<kernel>") -> str:
+    """GCC-style one-line-per-finding text rendering."""
+    return _render_text(findings, source_name=source_name)
+
+
+def render_json(findings: Sequence[Finding], *,
+                source_name: str = "<kernel>") -> str:
+    """Stable machine-readable rendering (sorted, one object per finding)."""
+    return _render_json(findings, source_name=source_name,
+                        origin_key="kernel")
 
 
 def verify_kernel(info: KernelInfo,
@@ -82,8 +136,3 @@ def verify_source(source: str) -> List[Finding]:
     for kernel in parse_kernels(source):
         findings.extend(verify_kernel(analyze(kernel), source))
     return sorted(findings, key=Finding.sort_key)
-
-
-def has_errors(findings: List[Finding]) -> bool:
-    """Does the list contain at least one error-severity finding?"""
-    return any(f.severity is Severity.ERROR for f in findings)

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..mcpl import ast
 from ..mcpl.semantics import KernelInfo
 from .cfg import CFG, build_cfg, def_use_chains, reaching_definitions
-from .findings import Finding
+from ...analyze.findings import Finding
 from .intervals import Interval, IntervalAnalysis, analyze_intervals
 from .poly import Poly, expr_to_poly
 

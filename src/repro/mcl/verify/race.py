@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..mcpl import ast
 from ..mcpl.semantics import KernelInfo
-from .findings import Finding
+from ...analyze.findings import Finding
 from .poly import ATOM_PREFIX, Poly, expr_to_poly
 
 __all__ = ["check_races"]

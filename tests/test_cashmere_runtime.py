@@ -265,6 +265,35 @@ def test_out_of_core_streams_oversized_leaf():
     assert dev.free_memory == dev.spec.mem_bytes
 
 
+def test_out_of_core_streams_oversized_explicit_launch():
+    """An explicit MCL.launch honours out_of_core exactly like a leaf."""
+
+    class HugeExplicitLeaf(VecOp):
+        def leaf(self, task, ctx):
+            lo, hi = task
+            kl = Cashmere.get_kernel(ctx, "scale").create_launch()
+            yield from MCL.launch(kl, {"n": hi - lo}, h2d_bytes=4e9,
+                                  d2h_bytes=self.leaf_d2h_bytes(task))
+            return hi - lo
+
+        def leaf_kernel_name(self, task):
+            raise NotImplementedError  # force the runtime down the leaf() path
+
+    cluster = SimCluster(gtx480_cluster(1))
+    app = HugeExplicitLeaf(leaf_size=1 << 14, manycore_size=1 << 15)
+    runtime = CashmereRuntime(cluster, app, make_library(),
+                              CashmereConfig(seed=1, out_of_core=True))
+    root = runtime.begin((0, 1 << 15))
+    cluster.env.run(until=10.0)  # bounded: a hung launch must fail, not stall
+    assert root.triggered
+    result = runtime.complete(root)
+    assert result.result == 1 << 15
+    dev = cluster.node(0).devices[0]
+    assert dev.launch_counts.get("scale", 0) > result.stats.total_leaves > 0
+    assert dev.free_memory == dev.spec.mem_bytes
+    assert dev.pending_work_s == 0.0
+
+
 def test_out_of_core_disabled_falls_back_to_cpu():
     class HugeLeaf(VecOp):
         def leaf_h2d_bytes(self, task):

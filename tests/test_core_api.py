@@ -103,6 +103,27 @@ def test_launch_releases_memory_and_reservation():
     assert dev.launch_counts["scale"] == 1
 
 
+def test_oversized_launch_raises_and_leaks_nothing():
+    """A launch whose buffers exceed device memory fails fast: no hang on
+    an impossible free, no leaked scheduler reservation."""
+    runtime, cluster = make_runtime()
+    env = cluster.env
+    dev = cluster.node(0).devices[0]
+    mem = dev.spec.mem_bytes
+    ctx = LeafContext(runtime, cluster.node(0))
+
+    def run():
+        kl = Cashmere.get_kernel(ctx).create_launch()
+        yield from MCL.launch(kl, {"n": 1024}, h2d_bytes=mem, d2h_bytes=mem)
+
+    env.process(run())
+    with pytest.raises(MemoryError):
+        env.run(until=5.0)  # bounded: a hung launch must fail, not stall
+    assert dev.free_memory == mem
+    assert dev.pending_work_s == 0.0
+    assert not dev.memory._putters  # no free() stuck above capacity
+
+
 def test_released_device_handle_rejects_use():
     runtime, cluster = make_runtime()
     env = cluster.env

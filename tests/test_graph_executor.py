@@ -16,6 +16,7 @@ from repro.core.scheduler import LookaheadMakespanPolicy
 from repro.graph import (
     GraphBuilder,
     GraphConfig,
+    GraphError,
     GraphRuntime,
     TaskGraph,
 )
@@ -83,6 +84,43 @@ def test_multi_device_spreads_independent_tiles():
     tile_lanes = {result.placements[f"tile{i}"] for i in range(4)}
     assert len(tile_lanes) == 2
     assert result.cross_device_bytes > 0  # the merge pulls remote tiles
+
+
+# ---------------------------------------------------------------------------
+# memory admission
+# ---------------------------------------------------------------------------
+
+def test_nodes_wait_until_their_footprint_fits():
+    # three independent nodes needing 0.6x device memory each: memory
+    # admission must run them one at a time on the single device
+    cluster = _cluster(nodes=(("gtx480",),), obs=True)
+    dev = cluster.node(0).devices[0]
+    half = 0.3 * dev.spec.mem_bytes
+    b = GraphBuilder("big")
+    b.source("big", 3, flops=1e9, in_bytes=half, out_bytes=half)
+    graph = b.build()
+    result = GraphRuntime(cluster, graph).run()
+    assert result.nodes_run == 3
+    windows = []
+    for name in graph.nodes:
+        (h2d,) = [ev for ev in cluster.obs.by_kind("h2d")
+                  if ev.fields["label"] == f"{name}-in"]
+        (d2h,) = [ev for ev in cluster.obs.by_kind("d2h")
+                  if ev.fields["label"] == f"{name}-out"]
+        windows.append((h2d.start, d2h.end))
+    windows.sort()
+    for (_, end), (start, _) in zip(windows, windows[1:]):
+        assert end <= start, windows
+    assert dev.free_memory == dev.spec.mem_bytes
+    assert dev.pending_work_s == 0.0
+
+
+def test_node_larger_than_every_device_is_rejected():
+    b = GraphBuilder("huge")
+    b.source("fits", flops=1e9, out_bytes=1 << 20)
+    b.source("whale", flops=1e9, out_bytes=1e12)
+    with pytest.raises(GraphError, match="'whale'"):
+        GraphRuntime(_cluster(), b.build()).run()
 
 
 # ---------------------------------------------------------------------------
