@@ -19,17 +19,22 @@ depend on a ``foreach`` index are evaluated at the index's midpoint, a
 standard representative-iteration approximation.  Data-dependent ``while``
 loops cannot be counted statically and fall back to
 ``DEFAULT_WHILE_TRIPS``, flagged as divergent.
+
+:func:`cost_params` names the parameters whose values the walk can read,
+so a caller can share one analysis among launches that differ only in the
+others (a raytracer leaf's ``row0``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..mcpl import ast
 from ..mcpl.semantics import KernelInfo, analyze
+from .feedback import _vars_of, _walk_stmts
 
-__all__ = ["KernelAnalysis", "analyze_cost", "DEFAULT_WHILE_TRIPS"]
+__all__ = ["KernelAnalysis", "analyze_cost", "cost_params", "DEFAULT_WHILE_TRIPS"]
 
 DEFAULT_WHILE_TRIPS = 16
 
@@ -395,6 +400,97 @@ class _CostWalker:
                 if typ is not None and typ.base == "float":
                     return True
         return False
+
+
+#: binary operators :meth:`_CostWalker.eval_expr` folds
+_EVAL_OPS = {"+", "-", "*", "/", "%"}
+
+
+def _evaluable(expr: Optional[ast.Expr], bound: Set[str]) -> bool:
+    """Can :meth:`_CostWalker.eval_expr` fold ``expr`` when ``bound`` is bound?
+
+    Mirrors ``eval_expr`` case for case: any other node (an array read, a
+    call such as ``float_cast``, a comparison) raises ``_Unknown`` there.
+    """
+    if isinstance(expr, (ast.IntLit, ast.FloatLit)):
+        return True
+    if isinstance(expr, ast.Var):
+        return expr.name in bound
+    if isinstance(expr, ast.Binary):
+        return (expr.op in _EVAL_OPS and _evaluable(expr.left, bound)
+                and _evaluable(expr.right, bound))
+    if isinstance(expr, ast.Unary):
+        return expr.op == "-" and _evaluable(expr.operand, bound)
+    if isinstance(expr, ast.Call):
+        return expr.name in ("min", "max") and all(
+            _evaluable(a, bound) for a in expr.args)
+    return False
+
+
+def cost_params(info: KernelInfo, names: Iterable[str]) -> Tuple[str, ...]:
+    """The passed parameter names whose values can change a cost estimate.
+
+    ``analyze_cost`` binds every passed name and reads values only through
+    ``eval_expr``, at these sinks: ``foreach`` counts; ``for`` init,
+    condition and step; ``if`` conditions (evaluated, and checked for
+    bound names); and the dims of every array type, which feed the
+    footprints and ``get_feedback``'s working-set and small-array checks.
+    A local enters the walker's environment only when its init folds:
+    literals, bound names, ``+ - * / %``, unary ``-`` and ``min``/``max``.
+    Those bindable locals are a fixpoint, and the sinks are closed through
+    their inits; a local read from an array or through ``float_cast`` is
+    never bound, so its inputs cannot reach a sink.  Two launches that
+    agree on the returned names (and pass the same names) therefore get
+    identical ``analyze_cost`` and ``estimate_efficiency`` results.
+    """
+    passed = set(names)
+    sinks: List[Optional[ast.Expr]] = [dim for p in info.kernel.params
+                                       for dim in p.type.dims]
+    decls: List[Tuple[str, ast.Expr]] = []
+    bound = set(passed)
+    for s in _walk_stmts(info.kernel.body):
+        if isinstance(s, ast.VarDecl):
+            if s.type is not None:
+                sinks.extend(s.type.dims)
+            if s.init is not None:
+                decls.append((s.name, s.init))
+        elif isinstance(s, ast.Foreach):
+            sinks.append(s.count)
+            bound.add(s.var)
+        elif isinstance(s, ast.If):
+            sinks.append(s.cond)
+        elif isinstance(s, ast.For):
+            sinks.append(s.cond)
+            if isinstance(s.init, ast.VarDecl):
+                sinks.append(s.init.init)
+                bound.add(s.init.name)
+            elif isinstance(s.init, ast.Assign):
+                sinks.append(s.init.value)
+                if isinstance(s.init.target, ast.Var):
+                    bound.add(s.init.target.name)
+            if isinstance(s.step, ast.Assign):
+                sinks.append(s.step.value)
+    grown = True
+    while grown:
+        grown = False
+        for name, init in decls:
+            if name not in bound and _evaluable(init, bound):
+                bound.add(name)
+                grown = True
+    inits: Dict[str, List[ast.Expr]] = {}
+    for name, init in decls:
+        if _evaluable(init, bound):
+            inits.setdefault(name, []).append(init)
+    relevant: Set[str] = set()
+    todo = [name for expr in sinks if expr is not None
+            for name in _vars_of(expr)]
+    while todo:
+        name = todo.pop()
+        if name not in relevant:
+            relevant.add(name)
+            for init in inits.get(name, ()):
+                todo.extend(_vars_of(init))
+    return tuple(sorted(relevant & passed))
 
 
 def _walk(expr: ast.Expr):

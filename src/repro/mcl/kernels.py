@@ -16,14 +16,14 @@ cost model — the :class:`CompiledKernel` Cashmere ships to each node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..analyze.findings import Finding
 
 from ..devices.perfmodel import KernelProfile
 from ..devices.specs import DeviceSpec, device_spec
-from .compiler.analysis import KernelAnalysis, analyze_cost
+from .compiler.analysis import KernelAnalysis, analyze_cost, cost_params
 from .compiler.codegen import LaunchConfig, derive_launch_config, generate_opencl
 from .compiler.efficiency import EfficiencyEstimate, estimate_efficiency
 from .compiler.feedback import FeedbackItem, get_feedback
@@ -109,38 +109,33 @@ class CompiledKernel:
     spec: DeviceSpec
 
     def __post_init__(self) -> None:
-        # Analyses depend only on the scalar parameters; leaf launches reuse
-        # the same shapes thousands of times, so cache them.
-        self._analysis_cache: Dict[Tuple, KernelAnalysis] = {}
-        self._efficiency_cache: Dict[Tuple, EfficiencyEstimate] = {}
-
-    @staticmethod
-    def _key(params: Dict[str, Any]) -> Tuple:
-        return tuple(sorted(params.items()))
+        # Leaf launches rarely repeat a whole params dict (every raytracer
+        # leaf passes its own ``row0``), but they do repeat the values the
+        # cost model reads, ``cost_params``.  Key the one cost cache on
+        # those, per set of passed names: the walker binds every passed name.
+        self._cost_params: Dict[FrozenSet[str], Tuple[str, ...]] = {}
+        self._costs: Dict[Tuple, Tuple[KernelAnalysis, EfficiencyEstimate]] = {}
 
     def launch_config(self, params: Dict[str, Any]) -> LaunchConfig:
         """Work-group/work-item configuration for the given parameters."""
         return derive_launch_config(self.leaf_info, params)
 
-    def analysis(self, params: Dict[str, Any]) -> KernelAnalysis:
-        key = self._key(params)
-        if key not in self._analysis_cache:
-            self._analysis_cache[key] = analyze_cost(self.leaf_info, params)
-        return self._analysis_cache[key]
-
-    def efficiency(self, params: Dict[str, Any]) -> EfficiencyEstimate:
-        key = self._key(params)
-        if key not in self._efficiency_cache:
-            self._efficiency_cache[key] = estimate_efficiency(
-                self.leaf_info, self.analysis(params), self.spec, params)
-        return self._efficiency_cache[key]
-
     def profile(self, params: Dict[str, Any],
                 h2d_bytes: float = 0.0, d2h_bytes: float = 0.0,
                 label: Optional[str] = None) -> KernelProfile:
         """Roofline profile of one launch, for the device simulator."""
-        analysis = self.analysis(params)
-        eff = self.efficiency(params)
+        names = frozenset(params)
+        relevant = self._cost_params.get(names)
+        if relevant is None:
+            relevant = self._cost_params[names] = cost_params(
+                self.leaf_info, names)
+        key = (names, tuple([params[name] for name in relevant]))
+        cost = self._costs.get(key)
+        if cost is None:
+            analysis = analyze_cost(self.leaf_info, params)
+            cost = self._costs[key] = (analysis, estimate_efficiency(
+                self.leaf_info, analysis, self.spec, params))
+        analysis, eff = cost
         return KernelProfile(
             name=label or self.name,
             flops=analysis.flops,

@@ -12,7 +12,7 @@ from repro.apps.raytracer import (
     small_app,
 )
 from repro.cluster import gtx480_cluster, satin_cpu_cluster
-from repro.mcl import analyze_cost, execute, parse_kernel
+from repro.mcl import analyze_cost, execute, kernels, parse_kernel
 
 
 def run_kernel(src, w=16, h=8, row0=0, nrows=8, ns=2, seed=1):
@@ -55,12 +55,22 @@ def test_kernel_is_divergence_bound():
     assert analysis.divergence > 0.9
 
 
-def test_end_to_end_cashmere_renders_full_image():
+def test_end_to_end_cashmere_renders_full_image(monkeypatch):
+    analyses = []
+
+    def counting_analyze_cost(info, params):
+        analyses.append(params)
+        return analyze_cost(info, params)
+
+    monkeypatch.setattr(kernels, "analyze_cost", counting_analyze_cost)
     app = small_app(width=16, height=16, samples=2, leaf_rows=4)
     run_cashmere(app, gtx480_cluster(2), app.root_task())
     want = reference_trace(16, 16, 0, 16, 2, app.seed, app.spheres,
                            app.material)
     np.testing.assert_allclose(app.image, want)
+    # The four leaves run on one device type and differ only in row0, which
+    # reaches no loop bound or array size: one cost analysis serves them all.
+    assert len(analyses) == 1
 
 
 def test_end_to_end_satin_renders_full_image():

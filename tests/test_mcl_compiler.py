@@ -2,18 +2,30 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.apps.kmeans import KMeansApp
+from repro.apps.matmul import MatmulApp
+from repro.apps.nbody import NBodyApp
+from repro.apps.raytracer import RaytracerApp
+from repro.devices import device_spec
 from repro.mcl import (
     analyze_cost,
     derive_launch_config,
     generate_opencl,
     get_feedback,
     is_optimized_for,
+    leaf_names,
     parse_kernel,
     translate,
 )
+from repro.mcl.compiler.analysis import cost_params
+from repro.mcl.compiler.efficiency import estimate_efficiency
 from repro.mcl.compiler.translate import TranslationError
+from repro.mcl.hdl import get_description
 from repro.mcl.mcpl.interpreter import execute
+from repro.mcl.mcpl.semantics import analyze
 
 MATMUL_PERFECT = """
 perfect void matmul(int n, int m, int p,
@@ -107,6 +119,221 @@ def test_local_accesses_not_charged_to_global():
     # 16x reuse happens in local memory.
     assert analysis.global_bytes == pytest.approx(256 * 4 * 2)
     assert analysis.local_bytes > analysis.global_bytes
+
+
+# --------------------------------------------------------------------------
+# cost-relevant parameters (the slice the kernel cost cache keys on)
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("app, expected", [
+    # row0, seed and h reach only float_cast'ed ray math and the RNG state
+    (RaytracerApp, ("no", "nrows", "ns", "w")),
+    (NBodyApp, ("n", "nl")),              # dt only scales velocities
+    (KMeansApp, ("d", "nk", "np")),
+    (MatmulApp, ("m", "n", "p")),
+])
+@pytest.mark.parametrize("optimized", [False, True])
+def test_app_kernel_cost_params(app, expected, optimized):
+    lib = app.build_library(optimized=optimized)
+    (name,) = lib.kernel_names()
+    for leaf in leaf_names():
+        info = lib.compile(name, leaf).leaf_info
+        names = [p.name for p in info.kernel.scalar_params]
+        assert cost_params(info, names) == expected, leaf
+
+
+# One kernel per sink kind.  ``k`` never reaches a sink in any of them.
+SINK_KERNELS = {
+    "foreach-count": ("""
+    perfect void f(int n, int k, float[16] a) {
+      foreach (int i in n threads) { a[0] = float_cast(k); }
+    }
+    """, ("n",)),
+    "for-bound-via-div-locals": ("""
+    perfect void f(int n, int k, float[16] a) {
+      foreach (int i in 4 threads) {
+        int half = n / 2;
+        int stop = half + 1;
+        for (int j = 0; j < stop; j++) { a[0] += float_cast(k); }
+      }
+    }
+    """, ("n",)),
+    "if-on-param-local": ("""
+    perfect void f(int n, int k, float[16] a) {
+      foreach (int i in 16 threads) {
+        int lim = n - 1;
+        if (i < lim) { a[i] = 2.0 * float_cast(k); }
+      }
+    }
+    """, ("n",)),
+    "array-param-dim": ("""
+    perfect void f(int m, int k, float[m] a) {
+      foreach (int i in 16 threads) { a[i] = float_cast(k); }
+    }
+    """, ("m",)),
+    "opaque-locals": ("""
+    perfect void f(int n, int k, int s, float[n] a) {
+      foreach (int i in 8 threads) {
+        float x = float_cast(k + i) / 4.0;
+        float y = a[s] + 1.0;
+        for (int t = 0; t < 8; t++) {
+          if (x > y) { a[i] = x; }
+        }
+      }
+    }
+    """, ("n",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINK_KERNELS))
+def test_sink_kernel_cost_params_are_exact(case):
+    src, expected = SINK_KERNELS[case]
+    info = analyze(parse_kernel(src))
+    names = [p.name for p in info.kernel.scalar_params]
+    assert cost_params(info, names) == expected
+    base = {name: 6 for name in names}
+    for name in names:
+        other = analyze_cost(info, {**base, name: 11})
+        if name in expected:
+            assert other != analyze_cost(info, base), name   # a real sink
+        else:
+            assert other == analyze_cost(info, base), name
+
+
+def test_cost_params_depend_on_the_passed_names():
+    # ``x`` never binds as a local (float_cast), but a passed ``x`` is bound
+    # by the walker and then decides the branch.
+    info = analyze(parse_kernel("""
+    perfect void f(int n, int k, float[16] a) {
+      foreach (int i in 8 threads) {
+        float x = float_cast(k);
+        if (x > 2.0) { a[i] = sqrt(x); }
+      }
+    }
+    """))
+    assert cost_params(info, ["n", "k"]) == ()
+    assert cost_params(info, ["n", "k", "x"]) == ("x",)
+    base = {"n": 4, "k": 1, "x": 1}
+    assert analyze_cost(info, base) != analyze_cost(info, {**base, "x": 3})
+    assert analyze_cost(info, base) == analyze_cost(
+        info, {**base, "n": 9, "k": 7})
+
+
+# Generated kernels: int locals built from the parameters with + - * / %
+# min, never-bound float locals, nested for/if and array writes, under one
+# top-level foreach that translation decomposes.  Expressions mostly read
+# the newest names, so locals chain through one another into the sinks:
+# dropping either the closure through locals or the bindable-locals
+# fixpoint from ``cost_params`` fails this property.
+_INT_PARAMS = ("p0", "p1", "p2", "p3")
+_STMT_KINDS = ("int", "int", "opaque", "for", "if", "write")
+_EXPR_KINDS = ("lit", "name", "name", "op", "op", "min")
+
+
+@st.composite
+def _cost_kernels(draw):
+    fresh = iter(range(1000))
+
+    def int_expr(ints, depth=0):
+        kind = draw(st.sampled_from(_EXPR_KINDS[:3] if depth == 2
+                                    else _EXPR_KINDS))
+        if kind == "lit":
+            return str(draw(st.integers(0, 9)))
+        if kind == "name":
+            return draw(st.sampled_from(ints[-2:] if draw(st.integers(0, 3))
+                                        else ints))
+        left, right = int_expr(ints, depth + 1), int_expr(ints, depth + 1)
+        if kind == "min":
+            return f"min({left}, {right})"
+        return f"({left} {draw(st.sampled_from('++--**/%'))} {right})"
+
+    def condition(ints, floats):
+        kind = draw(st.integers(0, 3 if floats else 2))
+        if kind == 3:                      # data-dependent: never bound
+            return f"{draw(st.sampled_from(floats))} > 0.5"
+        cmp = draw(st.sampled_from(["<", "<=", ">", ">=", "==", "!="]))
+        cond = f"{int_expr(ints)} {cmp} {int_expr(ints)}"
+        if kind == 2:
+            cond = f"{cond} {draw(st.sampled_from(['&&', '||']))} " \
+                   f"{int_expr(ints)} < {int_expr(ints)}"
+        return cond
+
+    def write(ints, floats):
+        value = draw(st.sampled_from(floats + ["2.0 * q"]))
+        return f"a[{int_expr(ints)}] += {value};"
+
+    def block(ints, floats, depth):
+        lines = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(_STMT_KINDS if depth < 3
+                                        else _STMT_KINDS[:3]))
+            n = next(fresh)
+            if kind == "int":
+                lines.append(f"int v{n} = {int_expr(ints)};")
+                ints = ints + [f"v{n}"]
+            elif kind == "opaque":
+                init = draw(st.sampled_from([
+                    f"float_cast({int_expr(ints)}) * q",
+                    f"a[{int_expr(ints)}] + 1.0"]))
+                lines.append(f"float f{n} = {init};")
+                floats = floats + [f"f{n}"]
+            elif kind == "for":
+                var = f"j{n}"
+                cond = f"{var} {draw(st.sampled_from(['<', '<=']))} " \
+                       f"{int_expr(ints)}"
+                if draw(st.booleans()):
+                    cond += f" && {var} < {int_expr(ints)}"
+                step = draw(st.sampled_from(["++", f" += {int_expr(ints)}"]))
+                lines.append(f"for (int {var} = {int_expr(ints)}; {cond}; "
+                             f"{var}{step}) {{")
+                lines += block(ints + [var], floats, depth + 1)
+                lines += [write(ints + [var], floats), "}"]
+            elif kind == "if":
+                lines.append(f"if ({condition(ints, floats)}) {{")
+                lines += block(ints, floats, depth + 1)
+                if draw(st.booleans()):
+                    lines.append("} else {")
+                    lines += block(ints, floats, depth + 1)
+                lines.append("}")
+            else:
+                lines.append(write(ints, floats))
+        return lines
+
+    ints = list(_INT_PARAMS)
+    top = []
+    for n in range(draw(st.integers(2, 3))):
+        top.append(f"int t{n} = {int_expr(ints)};")
+        ints.append(f"t{n}")
+    return "\n".join([
+        "perfect void g(int p0, int p1, int p2, int p3, float q, "
+        f"float[{int_expr(list(_INT_PARAMS))}] a) {{",
+        *top,
+        f"foreach (int i in {int_expr(ints)} threads) {{",
+        *block(ints + ["i"], [], 1), "}", "}"])
+
+
+_LAUNCH_PARAMS = st.fixed_dictionaries({
+    **{name: st.integers(-2, 40) for name in _INT_PARAMS},
+    "q": st.sampled_from([0.25, 0.5, 2.0])})
+#: the leaf each level's estimate is judged against; the untranslated
+#: ``perfect`` kernel gets the AMD leaf, which the other two levels miss
+_JUDGED_ON = {"perfect": "hd7970", "gtx480": "gtx480", "xeon_phi": "xeon_phi"}
+
+
+@given(src=_cost_kernels(), params=_LAUNCH_PARAMS, fresh=_LAUNCH_PARAMS)
+@settings(max_examples=150, deadline=None)
+def test_launches_agreeing_on_cost_params_cost_the_same(src, params, fresh):
+    kernel = parse_kernel(src)
+    for level, device in _JUDGED_ON.items():
+        info = analyze(translate(kernel, level), get_description(level))
+        relevant = cost_params(info, params)
+        other = {**fresh, **{name: params[name] for name in relevant}}
+        spec = device_spec(device)
+        first = analyze_cost(info, params)
+        second = analyze_cost(info, other)
+        assert first == second, (level, relevant)
+        assert (estimate_efficiency(info, first, spec, params)
+                == estimate_efficiency(info, second, spec, other)), level
 
 
 # --------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.apps.raytracer import RaytracerApp
 from repro.devices import kernel_gflops, device_spec
-from repro.mcl import KernelLibrary, leaf_names
+from repro.mcl import KernelLibrary, analyze_cost, kernels, leaf_names
 
 PERFECT_MATMUL = """
 perfect void matmul(int n, int m, int p,
@@ -180,3 +181,38 @@ def test_profile_carries_transfer_sizes(library):
     assert prof.h2d_bytes == 1000.0
     assert prof.d2h_bytes == 500.0
     assert prof.flops > 0
+
+
+RAY_PARAMS = {"w": 64, "h": 64, "row0": 0, "nrows": 16, "ns": 2, "no": 9,
+              "seed": 1}
+
+
+@pytest.fixture()
+def raytrace_kernel():
+    return RaytracerApp.build_library().compile("raytrace", "k20")
+
+
+def test_cost_cache_keys_on_cost_relevant_params(raytrace_kernel, monkeypatch):
+    analyses = []
+
+    def counting_analyze_cost(info, params):
+        analyses.append(params)
+        return analyze_cost(info, params)
+
+    monkeypatch.setattr(kernels, "analyze_cost", counting_analyze_cost)
+    first = raytrace_kernel.profile(RAY_PARAMS)
+    # row0 and seed reach no loop bound or array size: a hit
+    assert raytrace_kernel.profile({**RAY_PARAMS, "row0": 48, "seed": 7}) \
+        == first
+    assert len(analyses) == 1
+    # nrows is a foreach count: a miss
+    assert raytrace_kernel.profile({**RAY_PARAMS, "nrows": 8}) != first
+    assert len(analyses) == 2
+
+
+def test_warm_cost_cache_still_rejects_missing_params(raytrace_kernel):
+    raytrace_kernel.profile(RAY_PARAMS)
+    partial = {k: v for k, v in RAY_PARAMS.items() if k != "row0"}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="missing parameter"):
+            raytrace_kernel.profile(partial)
