@@ -180,21 +180,25 @@ class LookaheadMakespanPolicy(MakespanPolicy):
     def graph_select(self, name: str, devices: List[SimDevice],
                      predictions: Dict[str, Tuple[float, bool]],
                      ctx: Any) -> SchedulingDecision:
+        now = ctx.now
+        # per input: (edge, producer lane, producer finish clamped to now);
+        # only the cross-device transfer term depends on the candidate
+        inputs: List[Tuple[Any, Optional[str], float]] = []
+        for edge in ctx.in_edges(name):
+            finish = self._finish.get(edge.src, now)
+            inputs.append((edge, ctx.placement(edge.src),
+                           now if finish < now else finish))
         best: Optional[SchedulingDecision] = None
         best_eft = 0.0
         for dev in devices:
             t_d, used = predictions[dev.lane]
-            ready_t = ctx.now
-            for edge in ctx.in_edges(name):
-                src_lane = ctx.placement(edge.src)
-                arrival = self._finish.get(edge.src, ctx.now)
-                if arrival < ctx.now:
-                    arrival = ctx.now
+            ready_t = now
+            for edge, src_lane, arrival in inputs:
                 if src_lane is not None and src_lane != dev.lane:
                     arrival += ctx.edge_cost(edge, src_lane, dev.lane)
                 if arrival > ready_t:
                     ready_t = arrival
-            start = ctx.now + dev.pending_work_s
+            start = now + dev.pending_work_s
             if ready_t > start:
                 start = ready_t
             eft = start + t_d

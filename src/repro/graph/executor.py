@@ -36,7 +36,7 @@ from ..cluster.node import ComputeNode
 from ..core.policy import create_policy
 from ..core.scheduler import DevicePlacementPolicy, SchedulingDecision
 from ..devices.device import SimDevice
-from ..devices.perfmodel import kernel_time, transfer_time
+from ..devices.perfmodel import KernelProfile, kernel_time, transfer_time
 from ..satin.job import DependencyTracker
 from ..sim.engine import Event
 from .model import DataEdge, GraphError, TaskGraph
@@ -131,11 +131,24 @@ class GraphRuntime:
         self._completed = 0
         self._cross_device_bytes = 0.0
         self._wake: Optional[Event] = None
+        #: per-run price tables, filled on first use
+        self._lane_times: Dict[KernelProfile, Dict[str, float]] = {}
+        self._comm_means: Dict[float, float] = {}
 
     # -- cost estimates (policy-facing) -------------------------------------
+    # A kernel's per-lane times and an edge's mean transfer cost are pure
+    # functions of the profile / byte count and the device pool, which is
+    # fixed for a run, so each distinct key is priced once, lazily during
+    # run(), with the same expressions and summation order as a fresh
+    # computation: the estimates stay bit-identical.
     def _edge_cost(self, nbytes: float, src: SimDevice,
                    dst: SimDevice) -> float:
-        """d2h + (network) + h2d for one edge between two distinct devices."""
+        """d2h + (network) + h2d for one edge between two distinct devices.
+
+        An empty edge is free: :meth:`_stage_inputs` never sends it.
+        """
+        if nbytes <= 0:
+            return 0.0
         cost = (transfer_time(nbytes, src.spec)
                 + transfer_time(nbytes, dst.spec))
         src_node = self._owner[src.lane]
@@ -144,24 +157,38 @@ class GraphRuntime:
             cost += self.cluster.network.spec.transfer_time(nbytes)
         return cost
 
+    def _kernel_times(self, profile: KernelProfile) -> Dict[str, float]:
+        """Device lane -> predicted execution time of ``profile``.
+
+        The returned dict is the table's own entry: callers only read it.
+        """
+        times = self._lane_times.get(profile)
+        if times is None:
+            times = {dev.lane: kernel_time(profile, dev.spec)
+                     for dev in self.devices}
+            self._lane_times[profile] = times
+        return times
+
     def _mean_exec_estimate(self, name: str) -> float:
-        profile = self.graph.nodes[name].profile()
-        times = [kernel_time(profile, dev.spec) for dev in self.devices]
-        return sum(times) / len(times)
+        times = self._kernel_times(self.graph.nodes[name].profile())
+        return sum(times.values()) / len(times)
 
     def _mean_comm_estimate(self, edge: DataEdge) -> float:
         """Mean cross-device cost of an edge over distinct device pairs."""
-        if len(self.devices) == 1:
-            return 0.0
-        total = 0.0
-        pairs = 0
-        for src in self.devices:
-            for dst in self.devices:
-                if src is dst:
-                    continue
-                total += self._edge_cost(edge.nbytes, src, dst)
-                pairs += 1
-        return total / pairs
+        nbytes = edge.nbytes
+        mean = self._comm_means.get(nbytes)
+        if mean is None:
+            total = 0.0
+            pairs = 0
+            for src in self.devices:
+                for dst in self.devices:
+                    if src is dst:
+                        continue
+                    total += self._edge_cost(nbytes, src, dst)
+                    pairs += 1
+            mean = total / pairs if pairs else 0.0
+            self._comm_means[nbytes] = mean
+        return mean
 
     # -- execution ----------------------------------------------------------
     def run(self) -> GraphRunResult:
@@ -215,9 +242,9 @@ class GraphRuntime:
                 f"node {name!r} needs {footprint:.0f} B of device memory, "
                 f"more than any device of cluster "
                 f"{self.cluster.config.name!r} has")
+        times = self._kernel_times(profile)
         predictions: Dict[str, Tuple[float, bool]] = {
-            dev.lane: (kernel_time(profile, dev.spec), False)
-            for dev in fits}
+            dev.lane: (times[dev.lane], False) for dev in fits}
         decision = self._policy.graph_select(name, fits,
                                              predictions, self._ctx)
         decision.device.pending_work_s += decision.predicted_s

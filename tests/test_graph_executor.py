@@ -9,10 +9,14 @@ orders dispatch by upward rank and places for data locality.
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster.das4 import ClusterConfig, SimCluster
+import repro.graph.executor as executor
+from repro.cluster.das4 import ClusterConfig, SimCluster, heterogeneous_kmeans
 from repro.core.policy import policy_names
 from repro.core.scheduler import LookaheadMakespanPolicy
+from repro.devices.perfmodel import kernel_time
 from repro.graph import (
     GraphBuilder,
     GraphConfig,
@@ -169,6 +173,148 @@ def test_policies_actually_differ_on_the_apps():
                             scheduler_policy="makespan-lookahead")).run()
     assert greedy.placements != look.placements \
         or greedy.makespan_s != look.makespan_s
+
+
+# ---------------------------------------------------------------------------
+# cost estimates: priced once per distinct input per run, bit-identically
+# ---------------------------------------------------------------------------
+
+class _UncachedRuntime(GraphRuntime):
+    """Reference executor that prices every estimate from scratch: one
+    ``kernel_time`` per device per call and the full pairwise edge loop per
+    edge.  The per-run tables must reproduce it bit for bit."""
+
+    def _kernel_times(self, profile):
+        return {dev.lane: kernel_time(profile, dev.spec)
+                for dev in self.devices}
+
+    def _mean_exec_estimate(self, name):
+        profile = self.graph.nodes[name].profile()
+        times = [kernel_time(profile, dev.spec) for dev in self.devices]
+        return sum(times) / len(times)
+
+    def _mean_comm_estimate(self, edge):
+        if len(self.devices) == 1:
+            return 0.0
+        total = 0.0
+        pairs = 0
+        for src in self.devices:
+            for dst in self.devices:
+                if src is dst:
+                    continue
+                total += self._edge_cost(edge.nbytes, src, dst)
+                pairs += 1
+        return total / pairs
+
+
+#: 4 device types on 3 nodes, one node holding two different devices
+_MIXED_POOL = (("gtx480", "k20"), ("c2050",), ("xeon_phi", "gtx480"))
+
+
+def test_zero_byte_edge_is_free():
+    """An empty edge is never sent, so neither the edge cost nor the
+    upward rank may charge the network's per-message cost for it."""
+    b = GraphBuilder("empty-edge")
+    b.node("a", kernel="k", flops=1e9, device_bytes=1 << 20)
+    b.node("b", kernel="k", flops=2e9, device_bytes=1 << 20)
+    b.edge("a", "b", nbytes=0)
+    graph = b.build()
+    runtime = GraphRuntime(_cluster(), graph, GraphConfig(
+        scheduler_policy="makespan-lookahead"))
+    runtime.run()
+    (edge,) = graph.edges
+    src, dst = runtime.devices  # one device on each of the two nodes
+    assert runtime._owner[src.lane].rank != runtime._owner[dst.lane].rank
+    assert runtime._ctx.edge_cost(edge, src.lane, dst.lane) == 0.0
+    assert runtime._policy._rank["a"] == (runtime._mean_exec_estimate("a")
+                                          + runtime._mean_exec_estimate("b"))
+
+
+@pytest.mark.parametrize("make_graph", [path_tracer_graph, kmeans_pp_graph])
+def test_lookahead_ranks_equal_the_uncached_reference(make_graph):
+    graph = make_graph()
+    runtime = GraphRuntime(_cluster(nodes=_MIXED_POOL), graph, GraphConfig(
+        scheduler_policy="makespan-lookahead"))
+    runtime.run()
+    reference_rt = _UncachedRuntime(_cluster(nodes=_MIXED_POOL), graph)
+    reference = LookaheadMakespanPolicy()
+    reference.graph_prepare(graph, reference_rt._mean_exec_estimate,
+                            reference_rt._mean_comm_estimate)
+    assert runtime._policy._rank == reference._rank  # exact, not approx
+
+
+_DEVICE_TYPES = ("gtx480", "c2050", "gtx680", "titan", "hd7970", "k20",
+                 "xeon_phi")
+
+
+@st.composite
+def _random_dags(draw):
+    """Small DAGs whose edge sizes and node profiles repeat."""
+    n = draw(st.integers(2, 12))
+    b = GraphBuilder("random")
+    for i in range(n):
+        b.node(f"n{i}", kernel=draw(st.sampled_from(("x", "y"))),
+               flops=draw(st.one_of(st.sampled_from((1e6, 5e8, 3e9)),
+                                    st.floats(1e5, 1e10))),
+               device_bytes=draw(st.sampled_from((1 << 16, 1 << 22))))
+        preds = draw(st.lists(st.integers(0, i - 1), max_size=3,
+                              unique=True)) if i else []
+        for j in preds:
+            b.edge(f"n{j}", f"n{i}", data=f"n{j}->n{i}",
+                   nbytes=draw(st.sampled_from((0, 4096, 1 << 18, 1 << 20))))
+    return b.build()
+
+
+def _stream_run(runtime_cls, graph, nodes, policy):
+    cluster = _cluster(nodes=nodes, obs=True)
+    result = runtime_cls(cluster, graph,
+                         GraphConfig(scheduler_policy=policy)).run()
+    return result, cluster.obs.serialize()
+
+
+@settings(max_examples=25, deadline=None)
+@given(graph=_random_dags(),
+       nodes=st.lists(st.lists(st.sampled_from(_DEVICE_TYPES), min_size=1,
+                               max_size=2).map(tuple),
+                      min_size=1, max_size=4),
+       policy=st.sampled_from(("makespan", "makespan-lookahead")))
+def test_memoized_estimates_reproduce_the_uncached_schedule(graph, nodes,
+                                                            policy):
+    memo, memo_stream = _stream_run(GraphRuntime, graph, nodes, policy)
+    ref, ref_stream = _stream_run(_UncachedRuntime, graph, nodes, policy)
+    assert memo.placements == ref.placements
+    assert memo.makespan_s == ref.makespan_s
+    assert memo_stream == ref_stream
+
+
+def test_graph_prepare_prices_each_edge_size_once(monkeypatch):
+    graph = path_tracer_graph()
+    runtime = GraphRuntime(SimCluster(heterogeneous_kmeans()), graph,
+                           GraphConfig(scheduler_policy="makespan-lookahead"))
+    calls = {"in_prepare": False, "transfer_time": 0}
+    real_transfer_time = executor.transfer_time
+    real_prepare = runtime._policy.graph_prepare
+
+    def counting_transfer_time(nbytes, spec):
+        if calls["in_prepare"]:
+            calls["transfer_time"] += 1
+        return real_transfer_time(nbytes, spec)
+
+    def prepare(*args):
+        calls["in_prepare"] = True
+        try:
+            real_prepare(*args)
+        finally:
+            calls["in_prepare"] = False
+
+    monkeypatch.setattr(executor, "transfer_time", counting_transfer_time)
+    monkeypatch.setattr(runtime._policy, "graph_prepare", prepare)
+    runtime.run()
+    sizes = {edge.nbytes for edge in graph.edges}
+    d = len(runtime.devices)
+    assert 0 < calls["transfer_time"] <= 2 * len(sizes) * d * (d - 1)
+    # the per-edge pricing this replaces makes one pass per edge
+    assert len(graph.edges) > len(sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ from repro.apps.kmeans import KMeansApp
 from repro.apps.matmul import MatmulApp
 from repro.apps.nbody import NBodyApp
 from repro.apps.raytracer import RaytracerApp
-from repro.cluster.das4 import ClusterConfig
+from repro.cluster.das4 import ClusterConfig, SimCluster, heterogeneous_kmeans
 from repro.core.runtime import CashmereConfig
+from repro.graph import GraphConfig, GraphRuntime
+from repro.graph.apps import GRAPH_APPS
 from repro.satin.runtime import RuntimeConfig
 from repro.sweep.spec import ClusterSpec
 
@@ -150,6 +152,44 @@ def test_golden_stream_hashes(app_name):
     assert _golden_stream_hash(app_name) == GOLDEN_STREAM_HASHES[app_name], (
         f"{app_name}: seeded obs stream changed — the runtime's event "
         f"structure is no longer byte-identical to the committed golden")
+
+
+# ---------------------------------------------------------------------------
+# golden hashes: the DAG executor's seeded streams, frozen the same way
+# ---------------------------------------------------------------------------
+#
+# Both compound graph apps at a small scale on the Table III k-means pool
+# (23 devices of 7 types on 22 nodes), under the greedy and the lookahead
+# placement policy.  The lookahead streams pin the upward ranks and EFT
+# placements, so a change to the executor's cost estimates that reorders
+# even one dispatch shows up here.
+
+GRAPH_GOLDEN_STREAM_HASHES = {
+    ("kmeans-pp", "makespan"):
+        "323db285582c33d71749a7630f2cf641109d8e345584ec84cb16d697b34e8f56",
+    ("kmeans-pp", "makespan-lookahead"):
+        "b3e3154382fe4267d639c9ffef17cdae20a86c3e03694193d91b76b2c1932162",
+    ("path-tracer", "makespan"):
+        "39d3677dfdd32fc53ff58090df71a4006190ff57551e9a68126ba36b9024c423",
+    ("path-tracer", "makespan-lookahead"):
+        "93ff2e812e97266a0d24bea3512a5dba9160103d58114719b6f1be2711f79d6e",
+}
+
+
+def _graph_golden_stream_hash(app_name: str, policy: str) -> str:
+    graph = GRAPH_APPS[app_name](scale=0.1)
+    cluster = SimCluster(heterogeneous_kmeans(), obs_enabled=True)
+    GraphRuntime(cluster, graph,
+                 GraphConfig(seed=42, scheduler_policy=policy)).run()
+    return hashlib.sha256(cluster.obs.serialize().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("app_name,policy", sorted(GRAPH_GOLDEN_STREAM_HASHES))
+def test_graph_golden_stream_hashes(app_name, policy):
+    want = GRAPH_GOLDEN_STREAM_HASHES[(app_name, policy)]
+    assert _graph_golden_stream_hash(app_name, policy) == want, (
+        f"{app_name}/{policy}: seeded DAG obs stream changed — the graph "
+        f"executor's schedule is no longer byte-identical to the golden")
 
 
 # ---------------------------------------------------------------------------
