@@ -20,6 +20,7 @@ from repro.apps.kmeans import KMeansApp, reference_kmeans_iteration, small_app
 from repro.cluster import ClusterConfig
 from repro.core import gantt_zoomed
 from repro.core.runtime import CashmereConfig
+from repro.obs import Intervals
 
 MINI_DAS4 = ClusterConfig(
     name="mini-das4",
@@ -54,7 +55,7 @@ def show_heterogeneous_schedule():
                     leaf_points=1 << 18)
     result, runtime, cluster = run_cashmere(
         app, MINI_DAS4, app.root_task(),
-        config=CashmereConfig(seed=7), trace=True, return_runtime=True)
+        config=CashmereConfig(seed=7), obs=True, return_runtime=True)
 
     print("2) paper-scale run — device workloads:")
     for node in cluster.nodes:
@@ -70,9 +71,10 @@ def show_heterogeneous_schedule():
           f"{k20.launch_counts['kmeans']} : {phi.launch_counts['kmeans']} "
           f"(the Phi is {ratio:.1f}x slower)")
 
-    span = cluster.trace.span()
+    view = Intervals(cluster.obs.events)
+    span = view.span()
     print("\n   Gantt chart of the shared node (mid-run zoom, cf. Fig. 16):")
-    print(gantt_zoomed(cluster.trace, [shared.name],
+    print(gantt_zoomed(view, [shared.name],
                        t0=span * 0.4, t1=span * 0.6, width=90))
     stats = result.stats
     print(f"\n   makespan {stats.makespan_s:.3f} s simulated, "

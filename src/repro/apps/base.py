@@ -47,15 +47,14 @@ class CashmereApplication(DivideConquerApp):
 
 def run_satin(app: DivideConquerApp, cluster_config: ClusterConfig,
               root_task: Any, seed: int = 42,
-              config: Optional[RuntimeConfig] = None,
-              trace: bool = False, obs: bool = False,
+              config: Optional[RuntimeConfig] = None, obs: bool = False,
               return_runtime: bool = False):
     """One Satin baseline run (CPU leaves, 8 workers per node).
 
-    ``obs=True`` switches the cluster's event bus on without enabling the
-    (heavier) Gantt trace recorder; ``trace=True`` implies both.
+    ``obs=True`` switches the cluster's event bus on; the Gantt charts are
+    drawn from the recorded stream afterwards.
     """
-    cluster = SimCluster(cluster_config, trace_enabled=trace, obs_enabled=obs)
+    cluster = SimCluster(cluster_config, obs_enabled=obs)
     runtime = SatinRuntime(cluster, app, config or RuntimeConfig(seed=seed))
     result = runtime.run(root_task)
     if return_runtime:
@@ -65,15 +64,14 @@ def run_satin(app: DivideConquerApp, cluster_config: ClusterConfig,
 
 def run_cashmere(app: CashmereApplication, cluster_config: ClusterConfig,
                  root_task: Any, optimized: bool = True, seed: int = 42,
-                 config: Optional[CashmereConfig] = None,
-                 trace: bool = False, obs: bool = False,
+                 config: Optional[CashmereConfig] = None, obs: bool = False,
                  return_runtime: bool = False):
     """One Cashmere run with the app's kernel library.
 
-    ``obs=True`` switches the cluster's event bus on without enabling the
-    (heavier) Gantt trace recorder; ``trace=True`` implies both.
+    ``obs=True`` switches the cluster's event bus on; the Gantt charts are
+    drawn from the recorded stream afterwards.
     """
-    cluster = SimCluster(cluster_config, trace_enabled=trace, obs_enabled=obs)
+    cluster = SimCluster(cluster_config, obs_enabled=obs)
     library = app.build_library(optimized=optimized)
     runtime = CashmereRuntime(cluster, app, library,
                               config or CashmereConfig(seed=seed))

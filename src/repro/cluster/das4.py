@@ -18,7 +18,6 @@ from typing import List, Optional, Tuple
 
 from ..sim.engine import Environment
 from ..sim.network import QDR_INFINIBAND, Network, NetworkSpec
-from ..sim.trace import TraceRecorder
 from .node import ComputeNode
 
 __all__ = [
@@ -57,25 +56,23 @@ class ClusterConfig:
 
 
 class SimCluster:
-    """Instantiated simulated cluster: environment, network, nodes, trace.
+    """Instantiated simulated cluster: environment, network, nodes.
 
     Observability: the cluster's :class:`~repro.obs.bus.EventBus` lives on
-    the environment (``cluster.obs`` is an alias for ``cluster.env.obs``).
-    ``trace_enabled`` and ``obs_enabled`` both switch the bus on; the Gantt
-    :class:`TraceRecorder` is a subscriber that turns the bus's interval
-    events into activities, so figures and metrics share one event stream.
+    the environment (``cluster.obs`` is an alias for ``cluster.env.obs``)
+    and ``obs_enabled`` switches it on.  The Gantt charts and the metrics
+    are views of the one recorded stream
+    (:class:`repro.obs.export.Intervals`).
     """
 
-    def __init__(self, config: ClusterConfig, trace_enabled: bool = False,
-                 obs_enabled: bool = False):
+    def __init__(self, config: ClusterConfig, obs_enabled: bool = False):
         self.config = config
         self.env = Environment()
-        self.env.obs.enabled = trace_enabled or obs_enabled
+        self.env.obs.enabled = obs_enabled
         self.obs = self.env.obs
-        self.trace = TraceRecorder(enabled=trace_enabled, bus=self.env.obs)
         self.network = Network(self.env, config.network)
         self.nodes: List[ComputeNode] = [
-            ComputeNode(self.env, self.network, rank, devs, trace=self.trace,
+            ComputeNode(self.env, self.network, rank, devs,
                         device_overlap=config.device_overlap)
             for rank, devs in enumerate(config.nodes)
         ]

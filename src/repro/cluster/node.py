@@ -9,14 +9,13 @@ the second cause of Satin's reduced scalability (Sec. V-B).
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional, Sequence
+from typing import Callable, Generator, List, Sequence
 
 from ..devices.device import SimDevice
 from ..devices.specs import HOST_CPU, CpuSpec, device_spec
 from ..sim.engine import Environment, Event, Timeout
 from ..sim.network import Endpoint, Network
 from ..sim.resources import Resource
-from ..sim.trace import TraceRecorder
 
 __all__ = ["ComputeNode"]
 
@@ -79,20 +78,18 @@ class ComputeNode:
     def __init__(self, env: Environment, network: Network, rank: int,
                  device_names: Sequence[str] = (),
                  cpu: CpuSpec = HOST_CPU,
-                 trace: Optional[TraceRecorder] = None,
                  device_overlap: bool = True):
         self.env = env
         self.rank = rank
         self.name = f"node{rank}"
         self.cpu = cpu
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
         self.endpoint: Endpoint = network.attach(rank)
         self.cores = Resource(env, capacity=cpu.cores)
         self.devices: List[SimDevice] = []
         for i, dev_name in enumerate(device_names):
             self.devices.append(
                 SimDevice(env, device_spec(dev_name), self.name, index=i,
-                          trace=self.trace, overlap=device_overlap)
+                          overlap=device_overlap)
             )
         #: set by fault injection; a crashed node stops participating
         self.crashed = False

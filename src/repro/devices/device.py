@@ -23,7 +23,6 @@ from typing import Callable, Dict, Generator, Optional
 
 from ..sim.engine import Environment
 from ..sim.resources import Container, Resource
-from ..sim.trace import TraceRecorder
 from .perfmodel import KernelProfile, kernel_time, transfer_time
 from .specs import DeviceSpec
 
@@ -34,8 +33,8 @@ class SimDevice:
     """One accelerator in a simulated compute node."""
 
     def __init__(self, env: Environment, spec: DeviceSpec, node_name: str,
-                 index: int = 0, trace: Optional[TraceRecorder] = None,
-                 overlap: bool = True, node_rank: Optional[int] = None):
+                 index: int = 0, overlap: bool = True,
+                 node_rank: Optional[int] = None):
         self.env = env
         self.spec = spec
         self.node_name = node_name
@@ -48,7 +47,6 @@ class SimDevice:
         self.node_rank = node_rank
         #: lane prefix in Gantt traces, e.g. "node3/gtx480[0]"
         self.lane = f"{node_name}/{spec.name}[{index}]"
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
 
         #: with overlap disabled (ablation), copies and kernels serialize on
         #: one engine — no PCIe/compute overlap (Sec. II-C3 turned off)

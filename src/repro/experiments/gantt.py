@@ -13,6 +13,7 @@ from ..apps.base import run_cashmere
 from ..cluster.das4 import heterogeneous_kmeans
 from ..core.gantt import gantt_overview, gantt_zoomed, kernel_lanes
 from ..core.runtime import CashmereConfig
+from ..obs.export import Intervals
 from .harness import ExperimentResult, experiment
 from .scalability import APP_BUILDERS
 
@@ -20,12 +21,12 @@ __all__ = ["fig16_17", "run_traced_kmeans"]
 
 
 def run_traced_kmeans(seed: int = 42):
-    """Heterogeneous k-means with activity tracing enabled."""
+    """Heterogeneous k-means with the event bus on."""
     config = heterogeneous_kmeans()
     app = APP_BUILDERS["k-means"](False)
     result, runtime, cluster = run_cashmere(
         app, config, app.root_task(), optimized=True,
-        config=CashmereConfig(seed=seed), trace=True, return_runtime=True)
+        config=CashmereConfig(seed=seed), obs=True, return_runtime=True)
     return result, runtime, cluster
 
 
@@ -33,7 +34,7 @@ def run_traced_kmeans(seed: int = 42):
 def fig16_17(seed: int = 42, width: int = 100) -> ExperimentResult:
     """Both Gantt charts plus the K20/Phi job-split evidence."""
     result, runtime, cluster = run_traced_kmeans(seed=seed)
-    trace = cluster.trace
+    trace = Intervals(cluster.obs.events)
 
     # The node carrying both a K20 and a Xeon Phi (node 16's role in the
     # paper), plus one GTX480 node (node 3's role).
@@ -54,7 +55,7 @@ def fig16_17(seed: int = 42, width: int = 100) -> ExperimentResult:
 
     rows = [
         ["kernel lanes", len(kernel_lanes(trace))],
-        ["trace activities", len(trace.activities)],
+        ["trace activities", len(trace)],
         ["makespan (s)", round(result.stats.makespan_s, 2)],
         [f"{phi_node.name} k20 jobs", k20_jobs],
         [f"{phi_node.name} xeon_phi jobs", phi_jobs],
@@ -68,9 +69,9 @@ def fig16_17(seed: int = 42, width: int = 100) -> ExperimentResult:
         extra={
             "fig16": zoomed,
             "fig17": overview,
+            #: the interval view the charts are drawn from
             "trace": trace,
-            #: the raw event stream behind the Gantt charts — the trace
-            #: recorder is just one subscriber of this bus
+            #: the raw event stream behind the view
             "events": list(cluster.obs.events),
             "k20_jobs": k20_jobs,
             "phi_jobs": phi_jobs,

@@ -10,21 +10,16 @@ One subsystem, three pieces:
 * **metrics registry** (:mod:`repro.obs.metrics`) — counters, gauges and
   histograms replacing the runtimes' ad-hoc statistic dicts,
 * **exporters** (:mod:`repro.obs.export`) — Chrome ``chrome://tracing``
-  JSON, text summary tables, and derived statistics (utilization,
-  transfer/compute overlap).
+  JSON, text summary tables, and the :class:`~repro.obs.export.Intervals`
+  view of a recorded stream (Gantt lanes, utilization, transfer/compute
+  overlap).
 
 ``python -m repro trace <app>`` (see :mod:`repro.obs.cli`) runs a small
 heterogeneous workload with the bus enabled and writes a Chrome trace.
 """
 
 from .bus import INTERVAL_KINDS, POINT_KINDS, EventBus, ObsEvent
-from .export import (
-    busy_time,
-    chrome_trace,
-    metrics_summary,
-    overlap_fraction,
-    write_chrome_trace,
-)
+from .export import Intervals, chrome_trace, metrics_summary, write_chrome_trace
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = [
@@ -39,6 +34,5 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "metrics_summary",
-    "overlap_fraction",
-    "busy_time",
+    "Intervals",
 ]

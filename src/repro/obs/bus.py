@@ -123,12 +123,12 @@ class ObsEvent:
 
 
 class EventBus:
-    """Ordered stream of :class:`ObsEvent` records plus live subscribers.
+    """Ordered stream of :class:`ObsEvent` records.
 
     The bus is *disabled* by default: ``emit()`` is then a constant-time
     no-op, so instrumented code paths cost nothing in ordinary runs.
-    Subscribers (e.g. :class:`repro.sim.trace.TraceRecorder`) are invoked
-    synchronously on every emitted event.
+    Readers work on the recorded ``events`` after the run (e.g. the
+    :class:`repro.obs.export.Intervals` view behind the Gantt charts).
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None,
@@ -137,7 +137,6 @@ class EventBus:
         self.enabled = enabled
         self.events: List[ObsEvent] = []
         self._seq = itertools.count()
-        self._subscribers: List[Callable[[ObsEvent], None]] = []
 
     # -- configuration -----------------------------------------------------
     def enable(self) -> "EventBus":
@@ -147,14 +146,6 @@ class EventBus:
     def disable(self) -> "EventBus":
         self.enabled = False
         return self
-
-    def subscribe(self, callback: Callable[[ObsEvent], None]) -> None:
-        """Register a live consumer; called synchronously per event."""
-        self._subscribers.append(callback)
-
-    def unsubscribe(self, callback: Callable[[ObsEvent], None]) -> None:
-        if callback in self._subscribers:
-            self._subscribers.remove(callback)
 
     # -- emission ----------------------------------------------------------
     def emit(self, kind: str, node: Optional[int] = None,
@@ -167,8 +158,6 @@ class EventBus:
                       node=node, lane=lane, start=start, end=end,
                       fields=fields)
         self.events.append(ev)
-        for callback in self._subscribers:
-            callback(ev)
         return ev
 
     # -- queries -----------------------------------------------------------

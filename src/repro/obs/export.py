@@ -7,8 +7,9 @@
   threads.
 * :func:`metrics_summary` — render a :class:`repro.obs.metrics
   .MetricsRegistry` as the text tables the benchmark harness prints.
-* :func:`overlap_fraction` — the transfer/compute overlap statistic of the
-  paper's Fig. 16 discussion, computed from the event stream.
+* :class:`Intervals` — the one interval view of a recorded stream: per-lane
+  bars for the Gantt charts, busy time, utilization and the
+  transfer/compute overlap statistic of the paper's Fig. 16 discussion.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..util.tables import format_table
-from .bus import EventBus, ObsEvent
+from .bus import INTERVAL_KINDS, EventBus, ObsEvent
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = ["chrome_trace", "write_chrome_trace", "metrics_summary",
-           "overlap_fraction", "busy_time", "CATEGORIES"]
+           "Intervals", "CATEGORIES"]
 
 #: event kind -> Chrome trace category (the acceptance criteria talk about
 #: "steal, transfer, and kernel events"; these are their categories)
@@ -150,45 +151,81 @@ def _merged(intervals: Iterable[Tuple[float, float]]) -> List[Tuple[float, float
     return out
 
 
-def busy_time(events: Iterable[ObsEvent], kinds: Iterable[str],
-              lane_prefix: Optional[str] = None) -> float:
-    """Union duration of interval events of the given kinds (per lane set)."""
-    wanted = frozenset(kinds)
-    intervals = [(ev.start, ev.end) for ev in events
-                 if ev.kind in wanted and ev.is_interval
-                 and (lane_prefix is None
-                      or (ev.lane or "").startswith(lane_prefix))]
-    return sum(e - s for s, e in _merged(intervals))
+class Intervals:
+    """Read-only interval view of a recorded event stream.
 
-
-def overlap_fraction(events: Sequence[ObsEvent],
-                     lane_prefix: str) -> Optional[float]:
-    """Fraction of PCIe transfer time overlapped with kernel execution.
-
-    ``lane_prefix`` selects one device (e.g. ``"node3/gtx480[0]"``).
-    Returns ``None`` when the device transferred nothing; otherwise a value
-    in ``[0, 1]``: time during which both a transfer *and* a kernel were
-    active, divided by total transfer time.
+    Built in one pass over ``events``: it keeps every interval event that
+    sits on a lane and has a kind in :data:`INTERVAL_KINDS`, grouped by
+    lane in order of first appearance.  The Gantt charts of the paper's
+    Figs. 16-17 and the run-end ``device_overlap_fraction`` gauge both read
+    this view, so each stream is scanned once however many lanes are asked.
     """
-    kernel = _merged((ev.start, ev.end) for ev in events
-                     if ev.kind == "kernel" and ev.is_interval
-                     and (ev.lane or "").startswith(lane_prefix))
-    transfer = _merged((ev.start, ev.end) for ev in events
-                       if ev.kind in ("h2d", "d2h") and ev.is_interval
-                       and (ev.lane or "").startswith(lane_prefix))
-    total_transfer = sum(e - s for s, e in transfer)
-    if total_transfer <= 0:
-        return None
-    overlapped = 0.0
-    ki = 0
-    for ts, te in transfer:
-        while ki < len(kernel) and kernel[ki][1] <= ts:
-            ki += 1
-        kj = ki
-        while kj < len(kernel) and kernel[kj][0] < te:
-            overlapped += min(te, kernel[kj][1]) - max(ts, kernel[kj][0])
-            kj += 1
-    return min(overlapped / total_transfer, 1.0)
+
+    def __init__(self, events: Iterable[ObsEvent]) -> None:
+        #: the kept events, in stream order
+        self.events: List[ObsEvent] = []
+        self._lanes: Dict[str, List[ObsEvent]] = {}
+        for ev in events:
+            if (ev.lane is not None and ev.kind in INTERVAL_KINDS
+                    and ev.is_interval):
+                self.events.append(ev)
+                self._lanes.setdefault(ev.lane, []).append(ev)
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def lanes(self) -> List[str]:
+        return list(self._lanes)
+
+    def by_lane(self, lane: str) -> List[ObsEvent]:
+        return list(self._lanes.get(lane, ()))
+
+    def by_kind(self, kind: str) -> List[ObsEvent]:
+        return [ev for ev in self.events if ev.kind == kind]
+
+    def span(self) -> float:
+        """Time from the first interval's start to the last one's end."""
+        if not self.events:
+            return 0.0
+        return (max(ev.end for ev in self.events)
+                - min(ev.start for ev in self.events))
+
+    def busy_time(self, lane: str) -> float:
+        """Union duration of one lane's intervals."""
+        return sum(e - s for s, e in self._union(lane))
+
+    def utilization(self, lane: str) -> float:
+        span = self.span()
+        return self.busy_time(lane) / span if span > 0 else 0.0
+
+    def overlap_fraction(self, device_lane: str) -> Optional[float]:
+        """Fraction of PCIe transfer time overlapped with kernel execution.
+
+        ``device_lane`` names one device (e.g. ``"node3/gtx480[0]"``); its
+        ``/kernel``, ``/h2d`` and ``/d2h`` lanes are read.  Returns ``None``
+        when the device transferred nothing; otherwise a value in
+        ``[0, 1]``: time during which both a transfer *and* a kernel were
+        active, divided by total transfer time.
+        """
+        kernel = self._union(f"{device_lane}/kernel")
+        transfer = self._union(f"{device_lane}/h2d", f"{device_lane}/d2h")
+        total_transfer = sum(e - s for s, e in transfer)
+        if total_transfer <= 0:
+            return None
+        overlapped = 0.0
+        ki = 0
+        for ts, te in transfer:
+            while ki < len(kernel) and kernel[ki][1] <= ts:
+                ki += 1
+            kj = ki
+            while kj < len(kernel) and kernel[kj][0] < te:
+                overlapped += min(te, kernel[kj][1]) - max(ts, kernel[kj][0])
+                kj += 1
+        return min(overlapped / total_transfer, 1.0)
+
+    def _union(self, *lanes: str) -> List[Tuple[float, float]]:
+        return _merged((ev.start, ev.end) for lane in lanes
+                       for ev in self._lanes.get(lane, ()))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from typing import Any, Callable, ClassVar, Dict, Generator, List, Optional
 from ..analyze.races import RaceDetector
 from ..cluster.das4 import SimCluster
 from ..cluster.node import ComputeNode
-from ..obs.export import overlap_fraction
+from ..obs.export import Intervals
 from ..sim.engine import Environment, Interrupt, Process, Timeout, first_of
 from .comm import (
     CommLayer,
@@ -308,7 +308,7 @@ class SatinRuntime:
                            "messages carried by the interconnect")
         net_bytes.set(self.cluster.network.total_bytes)
         net_msgs.set(self.cluster.network.total_messages)
-        events = self.obs.events if self.obs.enabled else None
+        intervals = Intervals(self.obs.events) if self.obs.enabled else None
         for node in self.cluster.nodes:
             if makespan > 0:
                 cpu_util.set(
@@ -318,8 +318,8 @@ class SatinRuntime:
                 if makespan > 0:
                     dev_util.set(min(dev.busy_kernel_s / makespan, 1.0),
                                  lane=dev.lane)
-                if events is not None:
-                    frac = overlap_fraction(events, dev.lane)
+                if intervals is not None:
+                    frac = intervals.overlap_fraction(dev.lane)
                     if frac is not None:
                         overlap.set(frac, lane=dev.lane)
 

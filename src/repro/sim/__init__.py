@@ -3,8 +3,7 @@
 The paper ran on the DAS-4 cluster; this package provides the virtual
 hardware it ran on: a deterministic process-based event engine
 (:mod:`repro.sim.engine`), contention primitives (:mod:`repro.sim.resources`),
-an InfiniBand-style interconnect model (:mod:`repro.sim.network`) and
-Gantt-chart tracing (:mod:`repro.sim.trace`).
+and an InfiniBand-style interconnect model (:mod:`repro.sim.network`).
 """
 
 from .engine import (
@@ -26,7 +25,6 @@ from .network import (
     NetworkSpec,
 )
 from .resources import Container, PriorityStore, Resource, Store
-from .trace import Activity, TraceRecorder, render_gantt_ascii
 
 __all__ = [
     "AllOf",
@@ -47,7 +45,4 @@ __all__ = [
     "Message",
     "QDR_INFINIBAND",
     "GIGABIT_ETHERNET",
-    "Activity",
-    "TraceRecorder",
-    "render_gantt_ascii",
 ]

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import ClusterConfig, SimCluster, gtx480_cluster
 from repro.core import Cashmere, CashmereConfig, CashmereRuntime, MCL
 from repro.mcl import KernelLibrary
+from repro.obs import Intervals
 from repro.satin import DivideConquerApp
 
 SCALE_KERNEL = """
@@ -71,9 +72,9 @@ def make_library():
     return lib
 
 
-def run_vecop(config_nodes, size=1 << 20, app=None, trace=False, seed=42,
+def run_vecop(config_nodes, size=1 << 20, app=None, obs=False, seed=42,
               **cfg):
-    cluster = SimCluster(config_nodes, trace_enabled=trace)
+    cluster = SimCluster(config_nodes, obs_enabled=obs)
     runtime = CashmereRuntime(cluster, app or VecOp(), make_library(),
                               CashmereConfig(seed=seed, **cfg))
     result = runtime.run((0, size))
@@ -121,8 +122,8 @@ def test_heterogeneous_node_uses_both_devices():
 def test_transfers_overlap_kernels():
     """Sec. II-C3: with multiple device jobs in flight, H2D transfers of one
     job overlap kernel execution of another."""
-    result, _, cluster = run_vecop(gtx480_cluster(1), trace=True)
-    trace = cluster.trace
+    result, _, cluster = run_vecop(gtx480_cluster(1), obs=True)
+    trace = Intervals(cluster.obs.events)
     kernels = trace.by_kind("kernel")
     h2ds = trace.by_kind("h2d")
     assert kernels and h2ds
@@ -232,10 +233,11 @@ def test_device_pinning_for_multi_launch():
 
 def test_gantt_lanes_present():
     from repro.core import gantt_overview, kernel_lanes
-    _, _, cluster = run_vecop(gtx480_cluster(2), trace=True)
-    lanes = kernel_lanes(cluster.trace)
+    _, _, cluster = run_vecop(gtx480_cluster(2), obs=True)
+    trace = Intervals(cluster.obs.events)
+    lanes = kernel_lanes(trace)
     assert any("gtx480" in l for l in lanes)
-    chart = gantt_overview(cluster.trace, width=60)
+    chart = gantt_overview(trace, width=60)
     assert "#" in chart
 
 
@@ -251,7 +253,7 @@ def test_out_of_core_streams_oversized_leaf():
     from repro.cluster import SimCluster
     from repro.core.runtime import CashmereRuntime
 
-    cluster = SimCluster(gtx480_cluster(1), trace_enabled=True)
+    cluster = SimCluster(gtx480_cluster(1), obs_enabled=True)
     app = HugeLeaf(leaf_size=1 << 14, manycore_size=1 << 15)
     runtime = CashmereRuntime(cluster, app, make_library(),
                               CashmereConfig(seed=1, out_of_core=True))
@@ -313,13 +315,13 @@ def test_out_of_core_chunks_pipeline_transfers_with_kernels():
     from repro.cluster import SimCluster
     from repro.core.runtime import CashmereRuntime
 
-    cluster = SimCluster(gtx480_cluster(1), trace_enabled=True)
+    cluster = SimCluster(gtx480_cluster(1), obs_enabled=True)
     app = HugeLeaf(leaf_size=1 << 14, manycore_size=1 << 14)
     runtime = CashmereRuntime(cluster, app, make_library(),
                               CashmereConfig(seed=1, out_of_core=True,
                                              workers_per_node=1))
     runtime.run((0, 1 << 14))  # a single leaf
-    trace = cluster.trace
+    trace = Intervals(cluster.obs.events)
     kernels = trace.by_kind("kernel")
     h2ds = trace.by_kind("h2d")
     overlapped = any(k.start < h.end and h.start < k.end

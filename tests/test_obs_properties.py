@@ -6,7 +6,9 @@ Four property families, straight from the design contract:
 * histogram quantiles are always bounded by min/max,
 * per-device utilization is within [0, 1] on randomized workloads,
 * the Chrome-trace export round-trips ``json.loads`` with non-decreasing
-  ``ts`` per (pid, tid) track, for arbitrary event streams.
+  ``ts`` per (pid, tid) track, for arbitrary event streams,
+* the interval view's transfer/compute overlap equals a per-device rescan
+  of the stream, which the run-end gauges read in one pass.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ except ImportError:  # pragma: no cover - hypothesis is in the CI image
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
 from repro.obs.bus import EventBus, ObsEvent
-from repro.obs.export import chrome_trace
+from repro.obs.export import Intervals, chrome_trace
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 # ---------------------------------------------------------------------------
@@ -184,12 +186,13 @@ point_kind = st.sampled_from(["spawn", "steal_attempt", "crash"])
 
 
 @st.composite
-def obs_events(draw):
+def obs_events(draw, max_node=7, max_start=1e3):
     seq = draw(st.integers(min_value=0, max_value=10**6))
-    node = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=7)))
+    node = draw(st.one_of(st.none(),
+                          st.integers(min_value=0, max_value=max_node)))
     if draw(st.booleans()):
         kind = draw(interval_kind)
-        start = draw(st.floats(min_value=0.0, max_value=1e3,
+        start = draw(st.floats(min_value=0.0, max_value=max_start,
                                allow_nan=False, allow_infinity=False))
         dur = draw(st.floats(min_value=0.0, max_value=10.0,
                              allow_nan=False, allow_infinity=False))
@@ -233,3 +236,78 @@ def test_chrome_trace_accepts_bus():
     trace = chrome_trace(bus)
     names = [e["name"] for e in trace["traceEvents"] if e.get("ph") == "X"]
     assert "k" in names
+
+
+# ---------------------------------------------------------------------------
+# transfer/compute overlap: exact, and one pass per run
+# ---------------------------------------------------------------------------
+
+def _merged(intervals):
+    out = []
+    for s, e in sorted(intervals):
+        if out and s <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], e))
+        else:
+            out.append((s, e))
+    return out
+
+
+def _rescanned_overlap_fraction(events, lane_prefix):
+    """The per-device scan the view replaced: two passes over the stream."""
+    kernel = _merged((ev.start, ev.end) for ev in events
+                     if ev.kind == "kernel" and ev.is_interval
+                     and (ev.lane or "").startswith(lane_prefix))
+    transfer = _merged((ev.start, ev.end) for ev in events
+                       if ev.kind in ("h2d", "d2h") and ev.is_interval
+                       and (ev.lane or "").startswith(lane_prefix))
+    total_transfer = sum(e - s for s, e in transfer)
+    if total_transfer <= 0:
+        return None
+    overlapped = 0.0
+    ki = 0
+    for ts, te in transfer:
+        while ki < len(kernel) and kernel[ki][1] <= ts:
+            ki += 1
+        kj = ki
+        while kj < len(kernel) and kernel[kj][0] < te:
+            overlapped += min(te, kernel[kj][1]) - max(ts, kernel[kj][0])
+            kj += 1
+    return min(overlapped / total_transfer, 1.0)
+
+
+@given(events=st.one_of(
+    st.lists(obs_events(), max_size=40),
+    # few devices and a short window, so kernels and transfers collide
+    st.lists(obs_events(max_node=0, max_start=5.0), min_size=10,
+             max_size=40)))
+@settings(max_examples=200, deadline=None)
+def test_overlap_fraction_equals_per_device_rescan(events):
+    view = Intervals(events)
+    devices = {ev.lane.rpartition("/")[0] for ev in events
+               if ev.lane is not None}
+    for dev in sorted(devices) + ["node9/dev[0]"]:
+        assert view.overlap_fraction(dev) == \
+            _rescanned_overlap_fraction(events, dev), dev
+
+
+class _CountingList(list):
+    """A list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_finalize_metrics_scans_the_stream_once():
+    from repro.obs.cli import run_traced_app
+
+    result, runtime, cluster = run_traced_app("raytracer")
+    gauge = result.stats.registry.get("device_overlap_fraction")
+    before = gauge.by_label("lane")
+    assert before
+    cluster.obs.events = events = _CountingList(cluster.obs.events)
+    runtime._finalize_metrics()
+    assert events.iterations <= 1
+    assert gauge.by_label("lane") == before
