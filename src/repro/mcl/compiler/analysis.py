@@ -32,7 +32,6 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..mcpl import ast
 from ..mcpl.semantics import KernelInfo, analyze
-from .feedback import _vars_of, _walk_stmts
 
 __all__ = ["KernelAnalysis", "analyze_cost", "cost_params", "DEFAULT_WHILE_TRIPS"]
 
@@ -390,7 +389,7 @@ class _CostWalker:
 
     def _is_data_dependent(self, cond: ast.Expr, env: Dict[str, float]) -> bool:
         """A condition is data-dependent if it reads array contents or RNG state."""
-        for node in _walk(cond):
+        for node in ast.walk(cond):
             if isinstance(node, ast.Index):
                 return True
             if isinstance(node, ast.Var) and node.name not in env \
@@ -448,7 +447,7 @@ def cost_params(info: KernelInfo, names: Iterable[str]) -> Tuple[str, ...]:
                                        for dim in p.type.dims]
     decls: List[Tuple[str, ast.Expr]] = []
     bound = set(passed)
-    for s in _walk_stmts(info.kernel.body):
+    for s in ast.walk(info.kernel.body):
         if isinstance(s, ast.VarDecl):
             if s.type is not None:
                 sinks.extend(s.type.dims)
@@ -482,8 +481,7 @@ def cost_params(info: KernelInfo, names: Iterable[str]) -> Tuple[str, ...]:
         if _evaluable(init, bound):
             inits.setdefault(name, []).append(init)
     relevant: Set[str] = set()
-    todo = [name for expr in sinks if expr is not None
-            for name in _vars_of(expr)]
+    todo = [name for expr in sinks for name in _vars_of(expr)]
     while todo:
         name = todo.pop()
         if name not in relevant:
@@ -493,19 +491,9 @@ def cost_params(info: KernelInfo, names: Iterable[str]) -> Tuple[str, ...]:
     return tuple(sorted(relevant & passed))
 
 
-def _walk(expr: ast.Expr):
-    yield expr
-    if isinstance(expr, ast.Binary):
-        yield from _walk(expr.left)
-        yield from _walk(expr.right)
-    elif isinstance(expr, ast.Unary):
-        yield from _walk(expr.operand)
-    elif isinstance(expr, ast.Call):
-        for a in expr.args:
-            yield from _walk(a)
-    elif isinstance(expr, ast.Index):
-        for i in expr.indices:
-            yield from _walk(i)
+def _vars_of(expr: Optional[ast.Expr]) -> Set[str]:
+    """The variables ``expr`` reads, without the arrays it indexes."""
+    return {e.name for e in ast.walk(expr) if isinstance(e, ast.Var)}
 
 
 def analyze_cost(info_or_kernel, params: Dict[str, Any]) -> KernelAnalysis:

@@ -20,6 +20,7 @@ from typing import Any, Dict, List, Tuple
 
 from ..mcpl import ast
 from ..mcpl.semantics import KernelInfo, analyze
+from .analysis import _CostWalker, _Unknown  # reuse the static evaluator
 
 __all__ = ["generate_opencl", "derive_launch_config", "LaunchConfig"]
 
@@ -237,7 +238,6 @@ def derive_launch_config(info_or_kernel, params: Dict[str, Any],
     info = info_or_kernel if isinstance(info_or_kernel, KernelInfo) \
         else analyze(info_or_kernel)
     env = {name: float(v) for name, v in params.items()}
-    from .analysis import _CostWalker, _Unknown  # reuse the static evaluator
     walker = _CostWalker(info, params)
 
     groups: List[int] = []

@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional, Set
 
 from ..mcpl import ast
 from ..mcpl.semantics import KernelInfo, analyze
+from .analysis import _CostWalker, _Unknown, _vars_of
 
 __all__ = ["FeedbackItem", "get_feedback", "is_optimized_for"]
 
@@ -44,87 +45,10 @@ class FeedbackItem:
         return f"[{self.level}] {self.code}: {self.message}"
 
 
-def _walk_stmts(stmt: ast.Stmt):
-    yield stmt
-    if isinstance(stmt, ast.Block):
-        for s in stmt.stmts:
-            yield from _walk_stmts(s)
-    elif isinstance(stmt, ast.Foreach):
-        yield from _walk_stmts(stmt.body)
-    elif isinstance(stmt, ast.For):
-        yield from _walk_stmts(stmt.body)
-    elif isinstance(stmt, ast.If):
-        yield from _walk_stmts(stmt.then)
-        if stmt.orelse is not None:
-            yield from _walk_stmts(stmt.orelse)
-    elif isinstance(stmt, ast.While):
-        yield from _walk_stmts(stmt.body)
-
-
-def _walk_exprs(stmt: ast.Stmt):
-    def from_expr(expr):
-        if expr is None:
-            return
-        yield expr
-        if isinstance(expr, ast.Binary):
-            yield from from_expr(expr.left)
-            yield from from_expr(expr.right)
-        elif isinstance(expr, ast.Unary):
-            yield from from_expr(expr.operand)
-        elif isinstance(expr, ast.Call):
-            for a in expr.args:
-                yield from from_expr(a)
-        elif isinstance(expr, ast.Index):
-            for i in expr.indices:
-                yield from from_expr(i)
-
-    for s in _walk_stmts(stmt):
-        if isinstance(s, ast.VarDecl):
-            yield from from_expr(s.init)
-        elif isinstance(s, ast.Assign):
-            yield from from_expr(s.target)
-            yield from from_expr(s.value)
-        elif isinstance(s, (ast.If, ast.While)):
-            yield from from_expr(s.cond)
-        elif isinstance(s, ast.For):
-            yield from from_expr(s.cond)
-        elif isinstance(s, ast.Foreach):
-            yield from from_expr(s.count)
-        elif isinstance(s, ast.ExprStmt):
-            yield from from_expr(s.expr)
-        elif isinstance(s, ast.Return):
-            yield from from_expr(s.value)
-
-
-def _vars_of(expr: ast.Expr) -> Set[str]:
-    out: Set[str] = set()
-
-    def rec(e):
-        if isinstance(e, ast.Var):
-            out.add(e.name)
-        elif isinstance(e, ast.Binary):
-            rec(e.left)
-            rec(e.right)
-        elif isinstance(e, ast.Unary):
-            rec(e.operand)
-        elif isinstance(e, ast.Call):
-            for a in e.args:
-                rec(a)
-        elif isinstance(e, ast.Index):
-            for i in e.indices:
-                rec(i)
-
-    rec(expr)
-    return out
-
-
 def _loop_vars(info: KernelInfo) -> Set[str]:
     """Variables of sequential for loops (candidates for data reuse)."""
-    out: Set[str] = set()
-    for s in _walk_stmts(info.kernel.body):
-        if isinstance(s, ast.For) and isinstance(s.init, ast.VarDecl):
-            out.add(s.init.name)
-    return out
+    return {s.init.name for s in ast.walk(info.kernel.body)
+            if isinstance(s, ast.For) and isinstance(s.init, ast.VarDecl)}
 
 
 def _reused_global_arrays(info: KernelInfo) -> Set[str]:
@@ -137,7 +61,7 @@ def _reused_global_arrays(info: KernelInfo) -> Set[str]:
     if not loops:
         return set()
     reused: Set[str] = set()
-    for expr in _walk_exprs(info.kernel.body):
+    for expr in ast.walk(info.kernel.body):
         if isinstance(expr, ast.Index) and expr.array not in info.local_arrays:
             for idx in expr.indices:
                 if _vars_of(idx) & loops:
@@ -157,7 +81,7 @@ def _uncoalesced_arrays(info: KernelInfo) -> Set[str]:
     innermost = max(info.foreachs, key=lambda f: f.depth)
     tvar = innermost.stmt.var
     bad: Set[str] = set()
-    for expr in _walk_exprs(info.kernel.body):
+    for expr in ast.walk(info.kernel.body):
         if (isinstance(expr, ast.Index) and len(expr.indices) >= 2
                 and expr.array not in info.local_arrays):
             positions = [i for i, idx in enumerate(expr.indices)
@@ -173,7 +97,6 @@ LOCAL_WORTHWHILE_BYTES = 16 * 1024
 
 def _filter_small_arrays(info: KernelInfo, arrays: Set[str],
                          params: Dict[str, Any]) -> Set[str]:
-    from .analysis import _CostWalker, _Unknown
     walker = _CostWalker(info, params)
     env = {k: float(v) for k, v in params.items()}
     out: Set[str] = set()
@@ -194,31 +117,9 @@ def _filter_small_arrays(info: KernelInfo, arrays: Set[str],
 
 
 def _has_data_dependent_flow(info: KernelInfo) -> bool:
-    for s in _walk_stmts(info.kernel.body):
-        if isinstance(s, (ast.If, ast.While)) and s.cond is not None:
-            for e in _ExprIter(s.cond):
-                if isinstance(e, ast.Index):
-                    return True
-    return False
-
-
-class _ExprIter:
-    def __init__(self, expr: ast.Expr):
-        self.expr = expr
-
-    def __iter__(self):
-        stack = [self.expr]
-        while stack:
-            e = stack.pop()
-            yield e
-            if isinstance(e, ast.Binary):
-                stack += [e.left, e.right]
-            elif isinstance(e, ast.Unary):
-                stack.append(e.operand)
-            elif isinstance(e, ast.Call):
-                stack += e.args
-            elif isinstance(e, ast.Index):
-                stack += e.indices
+    return any(isinstance(s, (ast.If, ast.While))
+               and any(isinstance(e, ast.Index) for e in ast.walk(s.cond))
+               for s in ast.walk(info.kernel.body))
 
 
 def get_feedback(info_or_kernel, params: Optional[Dict[str, Any]] = None
@@ -244,7 +145,6 @@ def get_feedback(info_or_kernel, params: Optional[Dict[str, Any]] = None
                 size = float(p.type.element_bytes)
                 for dim in p.type.dims:
                     try:
-                        from .analysis import _CostWalker
                         size *= _CostWalker(info, params).eval_expr(
                             dim, {k: float(v) for k, v in params.items()})
                     except Exception:

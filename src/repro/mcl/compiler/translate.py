@@ -77,29 +77,10 @@ def _fresh_name(base: str, taken: set) -> str:
 
 
 def _names_in(kernel: ast.Kernel) -> set:
-    names = {p.name for p in kernel.params}
-
-    def rec(stmt):
-        if isinstance(stmt, ast.Block):
-            for s in stmt.stmts:
-                rec(s)
-        elif isinstance(stmt, ast.VarDecl):
-            names.add(stmt.name)
-        elif isinstance(stmt, ast.Foreach):
-            names.add(stmt.var)
-            rec(stmt.body)
-        elif isinstance(stmt, ast.For):
-            rec(stmt.init)
-            rec(stmt.body)
-        elif isinstance(stmt, ast.If):
-            rec(stmt.then)
-            if stmt.orelse is not None:
-                rec(stmt.orelse)
-        elif isinstance(stmt, ast.While):
-            rec(stmt.body)
-
-    rec(kernel.body)
-    return names
+    """Every name the kernel declares: parameters, locals, loop variables."""
+    return {p.name for p in kernel.params} | {
+        s.name if isinstance(s, ast.VarDecl) else s.var
+        for s in ast.walk(kernel.body) if isinstance(s, (ast.VarDecl, ast.Foreach))}
 
 
 def _to_gpu(kernel: ast.Kernel, hd: HardwareDescription) -> ast.Kernel:

@@ -1,21 +1,27 @@
-"""AST node definitions for MCPL kernels.
+"""AST node definitions for MCPL kernels, and their one traversal.
 
 Nodes carry the source line for diagnostics.  Array types record their
 dimension *expressions* (``float[n,m]``), because MCPL arrays keep track of
 their sizes (Sec. II-B) — the compiler uses these both to check index arity
 and to derive work-group configurations and transfer sizes.
+
+:func:`walk` enumerates a subtree from one table of each node class's
+children.  Analyses that only visit nodes or collect names filter it (or
+:func:`names`) instead of recursing themselves; evaluators, printers and
+interpreters keep their per-node dispatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Union
 
 __all__ = [
     "Type", "Param", "Kernel",
     "Expr", "IntLit", "FloatLit", "Var", "Index", "Binary", "Unary", "Call",
     "Stmt", "Block", "VarDecl", "Assign", "Foreach", "For", "If", "While",
     "Return", "Break", "Continue", "ExprStmt",
+    "Node", "walk", "names",
 ]
 
 
@@ -212,6 +218,61 @@ class Continue(Stmt):
 @dataclass
 class ExprStmt(Stmt):
     expr: Optional[Expr] = None
+
+
+# --------------------------------------------------------------------------
+# traversal
+# --------------------------------------------------------------------------
+
+Node = Union[Expr, Stmt]
+
+#: node class -> its child nodes in source order (``None`` for an absent
+#: one); classes not listed have no children
+_CHILDREN: Dict[type, Callable[[Any], Sequence[Optional[Node]]]] = {
+    Index: lambda n: n.indices,
+    Binary: lambda n: (n.left, n.right),
+    Unary: lambda n: (n.operand,),
+    Call: lambda n: n.args,
+    Block: lambda n: n.stmts,
+    VarDecl: lambda n: (*(n.type.dims if n.type is not None else ()), n.init),
+    Assign: lambda n: (n.target, n.value),
+    Foreach: lambda n: (n.count, n.body),
+    For: lambda n: (n.init, n.cond, n.step, n.body),
+    If: lambda n: (n.cond, n.then, n.orelse),
+    While: lambda n: (n.cond, n.body),
+    Return: lambda n: (n.value,),
+    ExprStmt: lambda n: (n.expr,),
+}
+
+
+def walk(node: Optional[Node]) -> Iterator[Node]:
+    """Every expression and statement of ``node``'s subtree, in pre-order.
+
+    Children come in source order: a declaration's dims, then its init; an
+    assignment's target, then its value; a ``for``'s init, cond and step,
+    then its body.  Absent children are skipped, so ``walk(None)`` yields
+    nothing.
+    """
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if current is None:
+            continue
+        yield current
+        children = _CHILDREN.get(type(current))
+        if children is not None:
+            stack.extend(reversed(children(current)))
+
+
+def names(node: Optional[Node]) -> Set[str]:
+    """Every variable and every indexed array that ``node``'s subtree names."""
+    out: Set[str] = set()
+    for n in walk(node):
+        if isinstance(n, Var):
+            out.add(n.name)
+        elif isinstance(n, Index):
+            out.add(n.array)
+    return out
 
 
 # --------------------------------------------------------------------------

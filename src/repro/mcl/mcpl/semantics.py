@@ -103,7 +103,7 @@ class _Checker:
         return self.info
 
     def _check_dim_expr(self, expr: ast.Expr, scope: _Scope) -> None:
-        for var in _walk_expr(expr):
+        for var in ast.walk(expr):
             if isinstance(var, ast.Var):
                 typ = scope.lookup(var.name)
                 if typ is None:
@@ -257,21 +257,6 @@ class _Checker:
                 self._check_expr(arg, scope)
             return
         raise McplSemanticError(f"unknown expression {expr!r}")  # pragma: no cover
-
-
-def _walk_expr(expr: ast.Expr):
-    yield expr
-    if isinstance(expr, ast.Binary):
-        yield from _walk_expr(expr.left)
-        yield from _walk_expr(expr.right)
-    elif isinstance(expr, ast.Unary):
-        yield from _walk_expr(expr.operand)
-    elif isinstance(expr, ast.Call):
-        for a in expr.args:
-            yield from _walk_expr(a)
-    elif isinstance(expr, ast.Index):
-        for i in expr.indices:
-            yield from _walk_expr(i)
 
 
 def analyze(kernel: ast.Kernel,

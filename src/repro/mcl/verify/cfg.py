@@ -106,22 +106,8 @@ class CFG:
 
 def _scalar_uses(expr: Optional[ast.Expr], cfg: CFG, out: Set[str]) -> None:
     """Collect scalar variable reads in an expression."""
-    if expr is None:
-        return
-    if isinstance(expr, ast.Var):
-        if cfg.is_scalar(expr.name):
-            out.add(expr.name)
-    elif isinstance(expr, ast.Binary):
-        _scalar_uses(expr.left, cfg, out)
-        _scalar_uses(expr.right, cfg, out)
-    elif isinstance(expr, ast.Unary):
-        _scalar_uses(expr.operand, cfg, out)
-    elif isinstance(expr, ast.Call):
-        for a in expr.args:
-            _scalar_uses(a, cfg, out)
-    elif isinstance(expr, ast.Index):
-        for i in expr.indices:
-            _scalar_uses(i, cfg, out)
+    out.update(e.name for e in ast.walk(expr)
+               if isinstance(e, ast.Var) and cfg.is_scalar(e.name))
 
 
 class _Builder:

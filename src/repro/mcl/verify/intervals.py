@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..mcpl import ast
 from ..mcpl.semantics import KernelInfo
@@ -206,27 +206,6 @@ Env = Dict[str, Interval]
 Facts = List[Tuple[Poly, Poly]]
 
 
-def _assigned_names(stmt: Optional[ast.Stmt], out: "Set[str]") -> None:
-    """Names assigned (as scalars) anywhere in a statement tree."""
-    if stmt is None:
-        return
-    if isinstance(stmt, ast.Block):
-        for s in stmt.stmts:
-            _assigned_names(s, out)
-    elif isinstance(stmt, ast.Assign):
-        if isinstance(stmt.target, ast.Var):
-            out.add(stmt.target.name)
-    elif isinstance(stmt, ast.If):
-        _assigned_names(stmt.then, out)
-        _assigned_names(stmt.orelse, out)
-    elif isinstance(stmt, (ast.While, ast.Foreach)):
-        _assigned_names(stmt.body, out)
-    elif isinstance(stmt, ast.For):
-        _assigned_names(stmt.init, out)
-        _assigned_names(stmt.step, out)
-        _assigned_names(stmt.body, out)
-
-
 class IntervalAnalysis:
     """Structured abstract interpreter producing access/loop records."""
 
@@ -238,8 +217,8 @@ class IntervalAnalysis:
         # int parameters never assigned in the body are runtime *constants*:
         # their own symbol is always an exact bound, whatever branch
         # refinements or widening did to their environment interval.
-        assigned: Set[str] = set()
-        _assigned_names(info.kernel.body, assigned)
+        assigned = {s.target.name for s in ast.walk(info.kernel.body)
+                    if isinstance(s, ast.Assign) and isinstance(s.target, ast.Var)}
         self._const_params = {
             p.name for p in info.kernel.params
             if not p.type.is_array and p.type.base == "int"

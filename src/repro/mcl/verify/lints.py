@@ -145,67 +145,10 @@ def check_dataflow(info: KernelInfo,
 # MCL303 — unused parameters
 # ---------------------------------------------------------------------------
 
-def _names_in(e: Optional[ast.Expr], out: Set[str]) -> None:
-    if e is None:
-        return
-    if isinstance(e, ast.Var):
-        out.add(e.name)
-    elif isinstance(e, ast.Index):
-        out.add(e.array)
-        for i in e.indices:
-            _names_in(i, out)
-    elif isinstance(e, ast.Binary):
-        _names_in(e.left, out)
-        _names_in(e.right, out)
-    elif isinstance(e, ast.Unary):
-        _names_in(e.operand, out)
-    elif isinstance(e, ast.Call):
-        for a in e.args:
-            _names_in(a, out)
-
-
-def _names_in_stmt(s: Optional[ast.Stmt], out: Set[str]) -> None:
-    if s is None:
-        return
-    if isinstance(s, ast.Block):
-        for x in s.stmts:
-            _names_in_stmt(x, out)
-    elif isinstance(s, ast.VarDecl):
-        assert s.type is not None
-        for d in s.type.dims:
-            _names_in(d, out)
-        _names_in(s.init, out)
-    elif isinstance(s, ast.Assign):
-        _names_in(s.target, out)
-        _names_in(s.value, out)
-    elif isinstance(s, ast.ExprStmt):
-        _names_in(s.expr, out)
-    elif isinstance(s, ast.Return):
-        _names_in(s.value, out)
-    elif isinstance(s, ast.If):
-        _names_in(s.cond, out)
-        _names_in_stmt(s.then, out)
-        _names_in_stmt(s.orelse, out)
-    elif isinstance(s, ast.While):
-        _names_in(s.cond, out)
-        _names_in_stmt(s.body, out)
-    elif isinstance(s, ast.For):
-        _names_in_stmt(s.init, out)
-        _names_in(s.cond, out)
-        _names_in_stmt(s.step, out)
-        _names_in_stmt(s.body, out)
-    elif isinstance(s, ast.Foreach):
-        _names_in(s.count, out)
-        _names_in_stmt(s.body, out)
-
-
 def check_params(info: KernelInfo) -> List[Finding]:
     """MCL303: parameters mentioned neither in the body nor in any shape."""
-    used: Set[str] = set()
-    _names_in_stmt(info.kernel.body, used)
-    for p in info.kernel.params:
-        for d in p.type.dims:
-            _names_in(d, used)
+    used = ast.names(info.kernel.body).union(
+        *(ast.names(d) for p in info.kernel.params for d in p.type.dims))
     findings: List[Finding] = []
     for p in info.kernel.params:
         if p.name not in used:
@@ -221,28 +164,9 @@ def check_params(info: KernelInfo) -> List[Finding]:
 # MCL501 — local/private memory budget of the hardware level
 # ---------------------------------------------------------------------------
 
-def _collect_decls(s: Optional[ast.Stmt], out: List[ast.VarDecl]) -> None:
-    if s is None:
-        return
-    if isinstance(s, ast.Block):
-        for x in s.stmts:
-            _collect_decls(x, out)
-    elif isinstance(s, ast.VarDecl):
-        out.append(s)
-    elif isinstance(s, ast.If):
-        _collect_decls(s.then, out)
-        _collect_decls(s.orelse, out)
-    elif isinstance(s, (ast.While, ast.Foreach)):
-        _collect_decls(s.body, out)
-    elif isinstance(s, ast.For):
-        _collect_decls(s.init, out)
-        _collect_decls(s.body, out)
-
-
 def check_memory(info: KernelInfo) -> List[Finding]:
     """MCL501: cumulative declared bytes per memory space vs its capacity."""
-    decls: List[ast.VarDecl] = []
-    _collect_decls(info.kernel.body, decls)
+    decls = [s for s in ast.walk(info.kernel.body) if isinstance(s, ast.VarDecl)]
     totals: Dict[str, int] = {}
     findings: List[Finding] = []
     reported: Set[str] = set()

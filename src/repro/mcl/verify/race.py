@@ -214,37 +214,8 @@ def _split_conjuncts(e: Optional[ast.Expr]) -> List[ast.Expr]:
     return [e]
 
 
-def _var_names(e: Optional[ast.Expr], out: Set[str]) -> None:
-    if e is None:
-        return
-    if isinstance(e, ast.Var):
-        out.add(e.name)
-    elif isinstance(e, ast.Binary):
-        _var_names(e.left, out)
-        _var_names(e.right, out)
-    elif isinstance(e, ast.Unary):
-        _var_names(e.operand, out)
-    elif isinstance(e, ast.Call):
-        for a in e.args:
-            _var_names(a, out)
-    elif isinstance(e, ast.Index):
-        out.add(e.array)
-        for i in e.indices:
-            _var_names(i, out)
-
-
 def _contains_load(e: Optional[ast.Expr]) -> bool:
-    if e is None:
-        return False
-    if isinstance(e, ast.Index):
-        return True
-    if isinstance(e, ast.Binary):
-        return _contains_load(e.left) or _contains_load(e.right)
-    if isinstance(e, ast.Unary):
-        return _contains_load(e.operand)
-    if isinstance(e, ast.Call):
-        return any(_contains_load(a) for a in e.args)
-    return False
+    return any(isinstance(x, ast.Index) for x in ast.walk(e))
 
 
 class _Collector:
@@ -274,22 +245,9 @@ class _Collector:
         """Record, for every sub-expression, which variables its printed
         form mentions — the dependency set of the opaque atom it may
         normalize to."""
-        if e is None or isinstance(e, (ast.IntLit, ast.FloatLit, ast.Var)):
-            return
-        deps: Set[str] = set()
-        _var_names(e, deps)
-        self.atom_deps[ATOM_PREFIX + str(e)] = deps
-        children: List[Optional[ast.Expr]] = []
-        if isinstance(e, ast.Binary):
-            children = [e.left, e.right]
-        elif isinstance(e, ast.Unary):
-            children = [e.operand]
-        elif isinstance(e, ast.Call):
-            children = list(e.args)
-        elif isinstance(e, ast.Index):
-            children = list(e.indices)
-        for c in children:
-            self._register_atoms(c)
+        for x in ast.walk(e):
+            if not isinstance(x, (ast.IntLit, ast.FloatLit, ast.Var)):
+                self.atom_deps[ATOM_PREFIX + str(x)] = ast.names(x)
 
     def expr(self, e: Optional[ast.Expr], write: bool = False) -> None:
         if e is None:
@@ -333,9 +291,7 @@ class _Collector:
             self.expr(d)
         if decl.init is not None:
             self.expr(decl.init)
-            deps: Set[str] = set()
-            _var_names(decl.init, deps)
-            self.taint_defs.append((decl.name, deps,
+            self.taint_defs.append((decl.name, ast.names(decl.init),
                                     _contains_load(decl.init)))
 
     def stmt(self, s: Optional[ast.Stmt]) -> None:
@@ -359,8 +315,7 @@ class _Collector:
                         self.scalar_writes.append(_ScalarWrite(
                             var=target.name, line=s.line,
                             foreachs=tuple(self.fstack)))
-                deps = set()
-                _var_names(s.value, deps)
+                deps = ast.names(s.value)
                 if s.op != "=":
                     deps.add(target.name)
                 self.taint_defs.append((target.name, deps,
@@ -464,10 +419,8 @@ class _RaceAnalysis:
                     or name in visiting:
                 return None
             visiting.add(name)
-            deps: Set[str] = set()
-            _var_names(facts.init, deps)
             inner: Dict[str, Poly] = {}
-            for dep in deps:
+            for dep in ast.names(facts.init):
                 p = resolve(dep)
                 if p is not None:
                     inner[dep] = p
@@ -557,9 +510,7 @@ class _RaceAnalysis:
             return True        # declared outside the foreach body
         if facts.kind == "local" and facts.n_defs == 1 \
                 and facts.init is not None:
-            deps: Set[str] = set()
-            _var_names(facts.init, deps)
-            return all(self._is_uniform(d, fid) for d in deps)
+            return all(self._is_uniform(d, fid) for d in ast.names(facts.init))
         return False
 
     # -- bounds over independent symbols -------------------------------------
@@ -912,10 +863,8 @@ class _RaceAnalysis:
                 if _contains_load(cond):
                     self._report_divergence(findings, site, cond)
                     break
-                names: Set[str] = set()
-                _var_names(cond, names)
                 tainted = set()
-                for nm in names:
+                for nm in ast.names(cond):
                     tainted |= taint.get(nm, set())
                 if tainted & divergent_sources:
                     self._report_divergence(findings, site, cond)

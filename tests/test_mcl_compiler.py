@@ -1,5 +1,8 @@
 """Tests for the MCL compiler: analysis, feedback, translation, codegen."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,7 @@ from repro.mcl.compiler.translate import TranslationError
 from repro.mcl.hdl import get_description
 from repro.mcl.mcpl.interpreter import execute
 from repro.mcl.mcpl.semantics import analyze
+from repro.mcl.verify import render_json, verify_kernel
 
 MATMUL_PERFECT = """
 perfect void matmul(int n, int m, int p,
@@ -369,8 +373,8 @@ def test_tiled_gpu_kernel_resolves_local_memory_feedback():
     assert "use-local-memory" not in codes
 
 
-def test_uncoalesced_access_detected():
-    src = """
+@pytest.mark.parametrize("src", [
+    pytest.param("""
     gpu void transpose_bad(int n, float[n,n] a, float[n,n] out) {
       foreach (int i in n threads) {
         foreach (int j in n threads) {
@@ -378,7 +382,19 @@ def test_uncoalesced_access_detected():
         }
       }
     }
-    """
+    """, id="transpose"),
+    # the strided read sits in a `for` initializer, not in the loop body
+    pytest.param("""
+    gpu void f(int n, float[n,n] m, float[n] out) {
+      foreach (int i in n threads) {
+        float s = 0.0;
+        for (int k = int_cast(m[i, 0]); k < n; k += 1) { s = s + 1.0; }
+        out[i] = s;
+      }
+    }
+    """, id="for-header"),
+])
+def test_uncoalesced_access_detected(src):
     codes = [i.code for i in get_feedback(parse_kernel(src))]
     assert "uncoalesced-access" in codes
 
@@ -564,3 +580,64 @@ def test_launch_config_coarser_on_xeon_phi():
                                {"n": 1 << 20})
     # The Phi runs 240 fat work-items; the GPU a million fine ones.
     assert phi.work_items < gpu.work_items / 100
+
+
+# --------------------------------------------------------------------------
+# golden hash: the compiler's outputs on the builtin kernels are frozen
+# --------------------------------------------------------------------------
+#
+# One sha256 over what the compiler and the verifier say about the shipped
+# kernels, with every scalar parameter bound to GOLDEN_PARAM_VALUE:
+# - per app, {unoptimized, optimized} library, kernel and leaf device: the
+#   OpenCL text, the launch profile and the leaf-level feedback;
+# - per kernel version: the verifier's findings before inline suppressions,
+#   the feedback without and with parameters, and the cost parameters.
+# A refactor of the AST traversal, the cost walker or the verifier that
+# changes any of these by one character must be reverted or consciously
+# re-golden-ed with a changelog note.
+
+COMPILER_GOLDEN_HASH = \
+    "1df30b753b3a81d956e63cdd7cb0c658909940d5a9eab07eeeb1200dd6a845ea"
+GOLDEN_PARAM_VALUE = 256
+
+
+def _compiler_outputs():
+    def scalars(info):
+        return {p.name: GOLDEN_PARAM_VALUE for p in info.kernel.scalar_params}
+
+    def feedback(info, params=None):
+        return [str(item) for item in get_feedback(info, params)]
+
+    out = {}
+    for app in (MatmulApp, KMeansApp, NBodyApp, RaytracerApp):
+        for optimized in (False, True):
+            lib = app.build_library(optimized=optimized)
+            for name in lib.kernel_names():
+                for leaf in leaf_names():
+                    compiled = lib.compile(name, leaf)
+                    params = scalars(compiled.leaf_info)
+                    out[f"{app.name}/{optimized}/{name}/{leaf}"] = {
+                        "opencl": compiled.opencl_source,
+                        "profile": repr(compiled.profile(params)),
+                        "feedback": feedback(compiled.leaf_info, params),
+                    }
+        for name in lib.kernel_names():   # the optimized library: every version
+            for level, version in lib.versions(name).items():
+                params = scalars(version.info)
+                out[f"{app.name}/{name}@{level}"] = {
+                    "verify": render_json(verify_kernel(version.info)),
+                    "feedback": feedback(version.info),
+                    "feedback_params": feedback(version.info, params),
+                    "cost_params": list(cost_params(version.info, params)),
+                }
+    return out
+
+
+def test_compiler_outputs_match_golden():
+    outputs = _compiler_outputs()
+    assert len(outputs) == 4 * 2 * len(leaf_names()) + 11
+    digest = hashlib.sha256(
+        json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+    assert digest == COMPILER_GOLDEN_HASH, (
+        "the compiler's or the verifier's output on the builtin kernels "
+        "changed; it is no longer identical to the committed golden")

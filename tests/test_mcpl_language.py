@@ -1,6 +1,10 @@
-"""Tests for the MCPL lexer, parser and semantic analysis."""
+"""Tests for the MCPL lexer, parser, AST traversal and semantic analysis."""
+
+import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mcl.mcpl import (
     McplSemanticError,
@@ -115,6 +119,106 @@ def test_parse_error_reports_position():
 def test_parse_trailing_garbage_rejected():
     with pytest.raises(McplSyntaxError, match="trailing"):
         parse_kernel("perfect void f(int n) { } xxx")
+
+
+# --------------------------------------------------------------------------
+# AST traversal: walk / names
+# --------------------------------------------------------------------------
+#
+# Random trees built straight from the node constructors (they need not be
+# valid kernels): every Expr and Stmt class, absent (None) children, and
+# scalar, array-typed and untyped declarations.  The reference enumerates
+# children generically through ``dataclasses.fields``, so a child field that
+# ``walk`` does not know about makes the two disagree.
+
+_NAMES = st.sampled_from(["a", "b", "i", "n"])
+
+_LEAF_EXPRS = {
+    ast.IntLit: st.builds(ast.IntLit, value=st.integers(0, 9)),
+    ast.FloatLit: st.builds(ast.FloatLit, value=st.sampled_from([0.5, 2.0])),
+    ast.Var: st.builds(ast.Var, name=_NAMES),
+}
+
+
+def _inner_exprs(children):
+    maybe = st.none() | children
+    return {
+        ast.Index: st.builds(ast.Index, array=_NAMES,
+                             indices=st.lists(children, max_size=3)),
+        ast.Binary: st.builds(ast.Binary, op=st.just("+"), left=maybe, right=maybe),
+        ast.Unary: st.builds(ast.Unary, op=st.just("-"), operand=maybe),
+        ast.Call: st.builds(ast.Call, name=st.just("min"),
+                            args=st.lists(children, max_size=3)),
+    }
+
+
+_EXPRS = st.recursive(st.one_of(*_LEAF_EXPRS.values()),
+                      lambda c: st.one_of(*_inner_exprs(c).values()),
+                      max_leaves=6)
+_MAYBE_EXPR = st.none() | _EXPRS
+
+_LEAF_STMTS = {
+    ast.VarDecl: st.builds(
+        ast.VarDecl, name=_NAMES, init=_MAYBE_EXPR,
+        type=st.none() | st.builds(ast.Type, base=st.just("float"),
+                                   dims=st.lists(_EXPRS, max_size=2))),
+    ast.Assign: st.builds(ast.Assign, target=_MAYBE_EXPR, value=_MAYBE_EXPR),
+    ast.Return: st.builds(ast.Return, value=_MAYBE_EXPR),
+    ast.Break: st.builds(ast.Break),
+    ast.Continue: st.builds(ast.Continue),
+    ast.ExprStmt: st.builds(ast.ExprStmt, expr=_MAYBE_EXPR),
+}
+
+
+def _inner_stmts(children):
+    maybe = st.none() | children
+    return {
+        ast.Block: st.builds(ast.Block, stmts=st.lists(children, max_size=3)),
+        ast.Foreach: st.builds(ast.Foreach, var=_NAMES, count=_MAYBE_EXPR,
+                               unit=st.just("threads"), body=maybe),
+        ast.For: st.builds(ast.For, init=maybe, cond=_MAYBE_EXPR, step=maybe,
+                           body=maybe),
+        ast.If: st.builds(ast.If, cond=_MAYBE_EXPR, then=maybe, orelse=maybe),
+        ast.While: st.builds(ast.While, cond=_MAYBE_EXPR, body=maybe),
+    }
+
+
+_STMTS = st.recursive(st.one_of(*_LEAF_STMTS.values()),
+                      lambda c: st.one_of(*_inner_stmts(c).values()),
+                      max_leaves=8)
+
+
+def _reference_walk(value):
+    """Every Expr/Stmt reachable from ``value`` through dataclass fields and
+    lists; each node comes before the nodes of its fields, which come in
+    declaration order."""
+    if isinstance(value, list):
+        return [node for item in value for node in _reference_walk(item)]
+    if not dataclasses.is_dataclass(value):
+        return []
+    nodes = [value] if isinstance(value, (ast.Expr, ast.Stmt)) else []
+    for f in dataclasses.fields(value):
+        nodes += _reference_walk(getattr(value, f.name))
+    return nodes
+
+
+def test_tree_strategies_cover_every_node_class():
+    def subclasses(base):
+        return {c for c in vars(ast).values()
+                if isinstance(c, type) and issubclass(c, base) and c is not base}
+
+    assert set(_LEAF_EXPRS) | set(_inner_exprs(_EXPRS)) == subclasses(ast.Expr)
+    assert set(_LEAF_STMTS) | set(_inner_stmts(_STMTS)) == subclasses(ast.Stmt)
+
+
+@given(st.none() | _EXPRS | _STMTS)
+@settings(max_examples=300, deadline=None)
+def test_walk_is_complete_and_ordered(root):
+    reference = _reference_walk(root)
+    assert [id(n) for n in ast.walk(root)] == [id(n) for n in reference]
+    assert ast.names(root) == (
+        {n.name for n in reference if isinstance(n, ast.Var)}
+        | {n.array for n in reference if isinstance(n, ast.Index)})
 
 
 # --------------------------------------------------------------------------
