@@ -257,12 +257,14 @@ POLICIES = tuple(policy_names("device"))
 
 class DeviceScheduler:
     """Per-node scheduler state lives on the devices themselves
-    (``pending_work_s``, ``measured_times``); this class is stateless apart
-    from statistics and can be shared by all nodes of a runtime.
+    (``pending_work_s``, ``measured_times``); this class is the one place
+    that reserves and releases it, and can be shared by all nodes of a
+    runtime.  Leaves place with :meth:`choose`, DAG nodes with :meth:`place`.
 
     ``policy`` selects the placement rule by registry name:
 
     * ``makespan`` — the paper's algorithm (measured times, min-makespan),
+    * ``makespan-lookahead`` — ``makespan``, with lookahead for DAG nodes,
     * ``static`` — always the device with the highest static-speed rating
       (what Cashmere would do if it never measured anything),
     * ``round-robin`` — speed-oblivious rotation (a naive baseline).
@@ -272,21 +274,19 @@ class DeviceScheduler:
                  obs: Optional[EventBus] = None) -> None:
         p = create_policy("device", policy)
         assert isinstance(p, DevicePlacementPolicy)
-        self._policy: DevicePlacementPolicy = p
-        self.policy = policy
+        p.bind(obs)
+        self.policy: DevicePlacementPolicy = p
         self.decisions = 0
-        self.bootstrap_decisions = 0
-        #: optional event bus; every placement emits a ``sched_decision``
-        #: event carrying the pre-decision completion snapshot so the
-        #: invariant can be replay-checked from the log alone.
+        #: optional event bus; every :meth:`choose` emits a
+        #: ``sched_decision`` event carrying the pre-decision completion
+        #: snapshot so the invariant can be replay-checked from the log alone.
         self.obs = obs
-        self._policy.bind(obs)
 
     def _emit_decision(self, kernel_name: str,
                        decision: SchedulingDecision,
                        completions: Dict[str, float],
                        pending: Dict[str, float]) -> None:
-        self._policy.emit_decision(
+        self.policy.emit_decision(
             node=decision.device.node_rank,
             chosen=decision.device.lane,
             kernel=kernel_name,
@@ -342,13 +342,23 @@ class DeviceScheduler:
                            for d in devices}
         else:
             pending = completions = {}
-        decision = self._policy.select(devices, predictions)
-        decision.device.pending_work_s += decision.predicted_s
-        self.decisions += 1
-        if self.policy == "makespan" and not decision.used_measurement:
-            self.bootstrap_decisions += 1
+        decision = self.policy.select(devices, predictions)
+        self._reserve(decision)
         self._emit_decision(kernel_name, decision, completions, pending)
         return decision
+
+    def place(self, name: str, devices: List[SimDevice],
+              predictions: Dict[str, Tuple[float, bool]],
+              ctx: Any) -> SchedulingDecision:
+        """Place one ready DAG node with the policy's ``graph_select``; its
+        record is the executor's ``graph_node_dispatch`` event."""
+        decision = self.policy.graph_select(name, devices, predictions, ctx)
+        self._reserve(decision)
+        return decision
+
+    def _reserve(self, decision: SchedulingDecision) -> None:
+        decision.device.pending_work_s += decision.predicted_s
+        self.decisions += 1
 
     def job_finished(self, decision: SchedulingDecision) -> None:
         """Release the queue reservation (the device recorded the measured

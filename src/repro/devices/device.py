@@ -66,12 +66,8 @@ class SimDevice:
         self.launch_counts: Dict[str, int] = {}
         #: queued-but-unfinished predicted work, seconds (scheduler state)
         self.pending_work_s: float = 0.0
-        #: lifetime totals
+        #: lifetime kernel-engine busy time (the ``device_utilization`` gauge)
         self.busy_kernel_s: float = 0.0
-        self.busy_transfer_s: float = 0.0
-        self.bytes_h2d: float = 0.0
-        self.bytes_d2h: float = 0.0
-        self.flops_done: float = 0.0
 
     # -- memory ------------------------------------------------------------
     def alloc(self, nbytes: float):
@@ -99,8 +95,6 @@ class SimDevice:
         with (yield self.h2d_engine.request()):
             start = self.env.now
             yield self.env.timeout(transfer_time(nbytes, self.spec))
-            self.bytes_h2d += nbytes
-            self.busy_transfer_s += self.env.now - start
             obs = self.env.obs
             if obs.enabled:
                 obs.emit("h2d", node=self.node_rank, lane=f"{self.lane}/h2d",
@@ -114,8 +108,6 @@ class SimDevice:
         with (yield self.d2h_engine.request()):
             start = self.env.now
             yield self.env.timeout(transfer_time(nbytes, self.spec))
-            self.bytes_d2h += nbytes
-            self.busy_transfer_s += self.env.now - start
             obs = self.env.obs
             if obs.enabled:
                 obs.emit("d2h", node=self.node_rank, lane=f"{self.lane}/d2h",
@@ -129,7 +121,6 @@ class SimDevice:
             duration = kernel_time(profile, self.spec)
             yield self.env.timeout(duration)
             self.busy_kernel_s += duration
-            self.flops_done += profile.flops
             self.measured_times[profile.name] = duration
             self.launch_counts[profile.name] = self.launch_counts.get(profile.name, 0) + 1
             obs = self.env.obs
@@ -203,20 +194,6 @@ class SimDevice:
             if footprint > 0:
                 yield self.free(footprint)
         return 1
-
-    # -- scheduler support ---------------------------------------------------
-    def predict_time(self, kernel_name: str, fallback_reference: float,
-                     reference_speed: float) -> float:
-        """Predicted execution time for a kernel on this device.
-
-        Uses the measured time when one exists; otherwise scales a reference
-        time by the static speed table (a device with twice the speed rating
-        is assumed to take half as long), per Sec. III-B.
-        """
-        measured = self.measured_times.get(kernel_name)
-        if measured is not None:
-            return measured
-        return fallback_reference * reference_speed / self.spec.static_speed
 
     def __repr__(self) -> str:
         return f"<SimDevice {self.lane}>"

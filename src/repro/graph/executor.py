@@ -14,7 +14,8 @@ on one device of the flattened cluster-wide pool:
 * source nodes stage their ``in_bytes`` from the host over PCIe,
 * sink outputs are copied back to the host.
 
-Placement goes through the unified device-policy registry
+Placement goes through :meth:`~repro.core.scheduler.DeviceScheduler.place`
+and a policy of the unified device-policy registry
 (:mod:`repro.core.policy`, kind ``"device"``): the greedy policies see one
 ready node at a time, :class:`~repro.core.scheduler.LookaheadMakespanPolicy`
 additionally receives the whole graph via the ``graph_*`` hooks.  Policies
@@ -23,20 +24,23 @@ node that fits no device raises :class:`~repro.graph.model.GraphError`.
 
 Observability: ``graph_node_ready`` / ``graph_node_dispatch`` /
 ``graph_node_complete`` point events, plus the usual ``h2d``/``d2h``/
-``kernel``/``send`` intervals and the policies' ``sched_decision`` events.
+``kernel``/``send`` intervals; ``graph_node_dispatch`` (``chosen``,
+``predicted_s``, ``policy``) is a node's placement record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..cluster.das4 import SimCluster
 from ..cluster.node import ComputeNode
-from ..core.policy import create_policy
-from ..core.scheduler import DevicePlacementPolicy, SchedulingDecision
+from ..core.scheduler import DeviceScheduler, SchedulingDecision
 from ..devices.device import SimDevice
 from ..devices.perfmodel import KernelProfile, kernel_time, transfer_time
+from ..obs.export import record_run_gauges
+from ..obs.metrics import MetricsRegistry
 from ..satin.job import DependencyTracker
 from ..sim.engine import Event
 from .model import DataEdge, GraphError, TaskGraph
@@ -69,6 +73,8 @@ class GraphRunResult:
     placements: Dict[str, str] = field(default_factory=dict)
     #: bytes moved across devices to satisfy edges (0 = perfect locality)
     cross_device_bytes: float = 0.0
+    #: the run-end cluster gauges (:func:`repro.obs.export.record_run_gauges`)
+    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
 
     @property
     def gflops(self) -> float:
@@ -121,12 +127,9 @@ class GraphRuntime:
                 self._owner[dev.lane] = node
         self._device_by_lane: Dict[str, SimDevice] = {
             dev.lane: dev for dev in self.devices}
-        policy = create_policy("device", self.config.scheduler_policy)
-        assert isinstance(policy, DevicePlacementPolicy)
-        self._policy: DevicePlacementPolicy = policy
-        self._policy.bind(cluster.obs)
+        self.scheduler = DeviceScheduler(self.config.scheduler_policy,
+                                         cluster.obs)
         self._decisions: Dict[str, SchedulingDecision] = {}
-        self._tracker = DependencyTracker()
         self._ctx = _ScheduleContext(self)
         self._completed = 0
         self._cross_device_bytes = 0.0
@@ -194,6 +197,8 @@ class GraphRuntime:
     def run(self) -> GraphRunResult:
         driver = self.env.process(self._drive())
         self.env.run(until=driver)
+        registry = MetricsRegistry()
+        record_run_gauges(registry, self.cluster, self.env.now)
         return GraphRunResult(
             graph=self.graph.name,
             policy=self.config.scheduler_policy,
@@ -203,6 +208,7 @@ class GraphRuntime:
             placements={name: d.device.lane
                         for name, d in self._decisions.items()},
             cross_device_bytes=self._cross_device_bytes,
+            registry=registry,
         )
 
     def _drive(self) -> Generator:
@@ -210,14 +216,14 @@ class GraphRuntime:
         tracker = self._tracker = DependencyTracker()
         for name in graph.nodes:
             tracker.add(name, graph.predecessors(name))
-        self._policy.graph_prepare(graph, self._mean_exec_estimate,
-                                   self._mean_comm_estimate)
+        self.scheduler.policy.graph_prepare(graph, self._mean_exec_estimate,
+                                            self._mean_comm_estimate)
         obs = self.cluster.obs
         total = len(graph)
         while self._completed < total:
             ready = tracker.take_ready()
             if ready:
-                for name in self._policy.graph_order(ready, graph):
+                for name in self.scheduler.policy.graph_order(ready, graph):
                     if obs.enabled:
                         obs.emit("graph_node_ready", node=None, graph=graph.name,
                                  graph_node=name,
@@ -245,9 +251,7 @@ class GraphRuntime:
         times = self._kernel_times(profile)
         predictions: Dict[str, Tuple[float, bool]] = {
             dev.lane: (times[dev.lane], False) for dev in fits}
-        decision = self._policy.graph_select(name, fits,
-                                             predictions, self._ctx)
-        decision.device.pending_work_s += decision.predicted_s
+        decision = self.scheduler.place(name, fits, predictions, self._ctx)
         self._decisions[name] = decision
         obs = self.cluster.obs
         if obs.enabled:
@@ -267,14 +271,10 @@ class GraphRuntime:
         if not graph.out_edges(name):
             # sink outputs are copied back to the host
             profile = replace(profile, d2h_bytes=spec.out_bytes)
-
-        def release() -> None:
-            dev.pending_work_s = max(
-                0.0, dev.pending_work_s - decision.predicted_s)
-
-        yield from dev.launch(profile, name, footprint=footprint,
-                              stage=self._stage_inputs(name, dev),
-                              release=release)
+        yield from dev.launch(
+            profile, name, footprint=footprint,
+            stage=self._stage_inputs(name, dev),
+            release=partial(self.scheduler.job_finished, decision))
         obs = self.cluster.obs
         if obs.enabled:
             obs.emit("graph_node_complete", node=dev.node_rank,

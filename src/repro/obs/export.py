@@ -10,19 +10,25 @@
 * :class:`Intervals` — the one interval view of a recorded stream: per-lane
   bars for the Gantt charts, busy time, utilization and the
   transfer/compute overlap statistic of the paper's Fig. 16 discussion.
+* :func:`record_run_gauges` — the run-end cluster gauges, derived the same
+  way for Satin/Cashmere runs and DAG runs.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from ..util.tables import format_table
 from .bus import INTERVAL_KINDS, EventBus, ObsEvent
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 
+if TYPE_CHECKING:
+    from ..cluster.das4 import SimCluster
+
 __all__ = ["chrome_trace", "write_chrome_trace", "metrics_summary",
-           "Intervals", "CATEGORIES"]
+           "Intervals", "record_run_gauges", "CATEGORIES"]
 
 #: event kind -> Chrome trace category (the acceptance criteria talk about
 #: "steal, transfer, and kernel events"; these are their categories)
@@ -226,6 +232,41 @@ class Intervals:
     def _union(self, *lanes: str) -> List[Tuple[float, float]]:
         return _merged((ev.start, ev.end) for lane in lanes
                        for ev in self._lanes.get(lane, ()))
+
+
+def record_run_gauges(registry: MetricsRegistry, cluster: "SimCluster",
+                      makespan: float) -> None:
+    """Derive the run-end cluster gauges (CPU and device utilization,
+    transfer/compute overlap when the bus is on, network totals) from the
+    cluster's counters and one :class:`Intervals` pass over its stream."""
+    cpu_util = registry.gauge(
+        "node_cpu_utilization", "host-CPU busy fraction, by node")
+    dev_util = registry.gauge(
+        "device_utilization", "kernel-engine busy fraction, by device lane")
+    overlap = registry.gauge(
+        "device_overlap_fraction",
+        "fraction of PCIe transfer time overlapped with kernels")
+    net_bytes = registry.gauge("network_bytes_total",
+                               "bytes carried by the interconnect")
+    net_msgs = registry.gauge("network_messages_total",
+                              "messages carried by the interconnect")
+    net_bytes.set(cluster.network.total_bytes)
+    net_msgs.set(cluster.network.total_messages)
+    obs = cluster.obs
+    intervals = Intervals(obs.events) if obs.enabled else None
+    for node in cluster.nodes:
+        if makespan > 0:
+            cpu_util.set(
+                min(node.busy_cpu_s / (node.cpu.cores * makespan), 1.0),
+                node=node.rank)
+        for dev in node.devices:
+            if makespan > 0:
+                dev_util.set(min(dev.busy_kernel_s / makespan, 1.0),
+                             lane=dev.lane)
+            if intervals is not None:
+                frac = intervals.overlap_fraction(dev.lane)
+                if frac is not None:
+                    overlap.set(frac, lane=dev.lane)
 
 
 # ---------------------------------------------------------------------------

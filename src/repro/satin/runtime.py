@@ -41,7 +41,7 @@ from typing import Any, Callable, ClassVar, Dict, Generator, List, Optional
 from ..analyze.races import RaceDetector
 from ..cluster.das4 import SimCluster
 from ..cluster.node import ComputeNode
-from ..obs.export import Intervals
+from ..obs.export import record_run_gauges
 from ..sim.engine import Environment, Interrupt, Process, Timeout, first_of
 from .comm import (
     CommLayer,
@@ -281,13 +281,9 @@ class SatinRuntime:
         self._finalize_metrics()
 
     def _finalize_metrics(self) -> None:
-        """Derive the per-node / per-device gauges the paper's figures use.
-
-        Everything here is computed from counters and (when the bus is on)
-        the event stream — no second bookkeeping path.
-        """
+        """Set Satin's steal ratio, then the cluster gauges that DAG runs
+        share (:func:`~repro.obs.export.record_run_gauges`)."""
         r = self.stats.registry
-        makespan = self.stats.makespan_s
         steal_ratio = r.gauge(
             "satin_steal_success_ratio", "steal successes / attempts, by node")
         attempts = self.stats._steal_attempts.by_label("node")
@@ -295,33 +291,7 @@ class SatinRuntime:
         for rank, att in sorted(attempts.items()):
             steal_ratio.set(successes.get(rank, 0.0) / att if att else 0.0,
                             node=rank)
-        cpu_util = r.gauge(
-            "node_cpu_utilization", "host-CPU busy fraction, by node")
-        dev_util = r.gauge(
-            "device_utilization", "kernel-engine busy fraction, by device lane")
-        overlap = r.gauge(
-            "device_overlap_fraction",
-            "fraction of PCIe transfer time overlapped with kernels")
-        net_bytes = r.gauge("network_bytes_total",
-                            "bytes carried by the interconnect")
-        net_msgs = r.gauge("network_messages_total",
-                           "messages carried by the interconnect")
-        net_bytes.set(self.cluster.network.total_bytes)
-        net_msgs.set(self.cluster.network.total_messages)
-        intervals = Intervals(self.obs.events) if self.obs.enabled else None
-        for node in self.cluster.nodes:
-            if makespan > 0:
-                cpu_util.set(
-                    min(node.busy_cpu_s / (node.cpu.cores * makespan), 1.0),
-                    node=node.rank)
-            for dev in node.devices:
-                if makespan > 0:
-                    dev_util.set(min(dev.busy_kernel_s / makespan, 1.0),
-                                 lane=dev.lane)
-                if intervals is not None:
-                    frac = intervals.overlap_fraction(dev.lane)
-                    if frac is not None:
-                        overlap.set(frac, lane=dev.lane)
+        record_run_gauges(r, self.cluster, self.stats.makespan_s)
 
     def register_shared_object(self, obj: Any) -> None:
         """Attach a :class:`repro.satin.shared_objects.SharedObject`."""

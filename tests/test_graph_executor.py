@@ -226,8 +226,8 @@ def test_zero_byte_edge_is_free():
     src, dst = runtime.devices  # one device on each of the two nodes
     assert runtime._owner[src.lane].rank != runtime._owner[dst.lane].rank
     assert runtime._ctx.edge_cost(edge, src.lane, dst.lane) == 0.0
-    assert runtime._policy._rank["a"] == (runtime._mean_exec_estimate("a")
-                                          + runtime._mean_exec_estimate("b"))
+    assert runtime.scheduler.policy._rank["a"] == (
+        runtime._mean_exec_estimate("a") + runtime._mean_exec_estimate("b"))
 
 
 @pytest.mark.parametrize("make_graph", [path_tracer_graph, kmeans_pp_graph])
@@ -240,7 +240,7 @@ def test_lookahead_ranks_equal_the_uncached_reference(make_graph):
     reference = LookaheadMakespanPolicy()
     reference.graph_prepare(graph, reference_rt._mean_exec_estimate,
                             reference_rt._mean_comm_estimate)
-    assert runtime._policy._rank == reference._rank  # exact, not approx
+    assert runtime.scheduler.policy._rank == reference._rank  # exact, not approx
 
 
 _DEVICE_TYPES = ("gtx480", "c2050", "gtx680", "titan", "hd7970", "k20",
@@ -293,7 +293,7 @@ def test_graph_prepare_prices_each_edge_size_once(monkeypatch):
                            GraphConfig(scheduler_policy="makespan-lookahead"))
     calls = {"in_prepare": False, "transfer_time": 0}
     real_transfer_time = executor.transfer_time
-    real_prepare = runtime._policy.graph_prepare
+    real_prepare = runtime.scheduler.policy.graph_prepare
 
     def counting_transfer_time(nbytes, spec):
         if calls["in_prepare"]:
@@ -308,7 +308,7 @@ def test_graph_prepare_prices_each_edge_size_once(monkeypatch):
             calls["in_prepare"] = False
 
     monkeypatch.setattr(executor, "transfer_time", counting_transfer_time)
-    monkeypatch.setattr(runtime._policy, "graph_prepare", prepare)
+    monkeypatch.setattr(runtime.scheduler.policy, "graph_prepare", prepare)
     runtime.run()
     sizes = {edge.nbytes for edge in graph.edges}
     d = len(runtime.devices)

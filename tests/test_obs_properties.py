@@ -1,6 +1,6 @@
 """Property-based tests for the observability layer (hypothesis).
 
-Four property families, straight from the design contract:
+Property families, straight from the design contract:
 
 * counters are monotone under any sequence of increments,
 * histogram quantiles are always bounded by min/max,
@@ -8,11 +8,14 @@ Four property families, straight from the design contract:
 * the Chrome-trace export round-trips ``json.loads`` with non-decreasing
   ``ts`` per (pid, tid) track, for arbitrary event streams,
 * the interval view's transfer/compute overlap equals a per-device rescan
-  of the stream, which the run-end gauges read in one pass.
+  of the stream, which the run-end gauges read in one pass,
+* Satin/Cashmere and DAG runs derive the same run-end gauges, pinned by a
+  registry golden and checked against their formulas.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -23,6 +26,9 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is in the CI image
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
+from repro.cluster.das4 import SimCluster, heterogeneous_kmeans
+from repro.graph.apps import GRAPH_APPS
+from repro.graph.executor import GraphConfig, GraphRuntime
 from repro.obs.bus import EventBus, ObsEvent
 from repro.obs.export import Intervals, chrome_trace
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -311,3 +317,61 @@ def test_finalize_metrics_scans_the_stream_once():
     runtime._finalize_metrics()
     assert events.iterations <= 1
     assert gauge.by_label("lane") == before
+
+
+# ---------------------------------------------------------------------------
+# the run ledger: one derivation of the run-end gauges for both executors
+# ---------------------------------------------------------------------------
+
+#: sha256 over the metrics-registry snapshots of the four ``repro trace``
+#: apps (seed 42, apps in sorted order, each snapshot's sorted-key JSON
+#: followed by a NUL byte)
+TRACE_REGISTRY_GOLDEN = (
+    "967fe0e081b1e54074514543ec76a15852ff87564f986dfa9f571b1e79b901e9")
+
+
+def test_trace_app_registries_match_golden():
+    from repro.obs.cli import TRACE_APPS, run_traced_app
+
+    digest = hashlib.sha256()
+    for app in sorted(TRACE_APPS):
+        result, _, _ = run_traced_app(app, seed=42)
+        digest.update(json.dumps(result.stats.registry.snapshot(),
+                                 sort_keys=True).encode())
+        digest.update(b"\0")
+    assert digest.hexdigest() == TRACE_REGISTRY_GOLDEN
+
+
+def _dag_run(app, obs):
+    graph = GRAPH_APPS[app](scale=0.1)
+    cluster = SimCluster(heterogeneous_kmeans(), obs_enabled=obs)
+    result = GraphRuntime(cluster, graph, GraphConfig(
+        scheduler_policy="makespan-lookahead")).run()
+    devices = [dev for node in cluster.nodes for dev in node.devices]
+    return result, cluster, devices
+
+
+@pytest.mark.parametrize("app", sorted(GRAPH_APPS))
+def test_dag_run_records_the_cluster_gauges(app):
+    result, cluster, devices = _dag_run(app, obs=True)
+    registry = result.registry
+    intervals = Intervals(cluster.obs.events)
+    util = registry.get("device_utilization").by_label("lane")
+    overlap = registry.get("device_overlap_fraction").by_label("lane")
+    assert set(util) == {dev.lane for dev in devices}
+    assert overlap
+    for dev in devices:
+        assert util[dev.lane] == min(dev.busy_kernel_s / result.makespan_s,
+                                     1.0)
+        # no value where the device transferred nothing
+        assert overlap.get(dev.lane) == intervals.overlap_fraction(dev.lane)
+    assert (registry.get("network_bytes_total").value()
+            == cluster.network.total_bytes)
+
+
+@pytest.mark.parametrize("app", sorted(GRAPH_APPS))
+def test_dag_run_without_the_bus_has_no_overlap_gauge(app):
+    result, _, devices = _dag_run(app, obs=False)
+    assert not result.registry.get("device_overlap_fraction").items()
+    assert (set(result.registry.get("device_utilization").by_label("lane"))
+            == {dev.lane for dev in devices})
