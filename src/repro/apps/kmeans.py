@@ -295,22 +295,14 @@ class KMeansApp(CashmereApplication):
         return self.result_bytes(task)
 
     # -- real execution ----------------------------------------------------------
-    supports_leaf_batch = True
-
-    def leaf_result(self, task: KMeansTask) -> Any:
-        if self.data is None:
-            return None
-        chunk = self.data[task.lo:task.hi]
-        _, sums, counts = reference_kmeans_iteration(chunk, self.centroids)
-        return (sums, counts)
-
     def leaf_batch(self, tasks) -> List[Any]:
         """One vectorized assignment pass over every pending leaf's points.
 
         The O(n·k·d) distance/argmin work runs once over the concatenated
         chunks (assignments are row-independent, so concatenation changes
-        nothing); the cheap per-task segment reductions then reproduce each
-        ``leaf_result`` partial exactly.
+        nothing); the cheap per-task segment reductions then give each
+        leaf's partial (sums, counts) exactly, however the leaves are
+        batched.
         """
         if self.data is None:
             return [None] * len(tasks)

@@ -155,7 +155,8 @@ class MatmulApp(CashmereApplication):
         #: block, keeping every leaf individually stealable)
         self.manycore_block = manycore_block if manycore_block is not None \
             else leaf_block
-        #: optional (a, b, c) arrays for real execution; c accumulates
+        #: optional (a, b, c) arrays for real execution; each leaf writes
+        #: its own block of c
         self.data = data
 
     # -- structure ----------------------------------------------------------
@@ -201,23 +202,14 @@ class MatmulApp(CashmereApplication):
         return self.result_bytes(task)
 
     # -- real execution -------------------------------------------------------
-    supports_leaf_batch = True
-
-    def leaf_result(self, task: MatmulTask) -> Any:
-        if self.data is None:
-            return 0.0
-        a, b, c = self.data
-        r0, c0, s = task.row0, task.col0, task.size
-        block = a[r0:r0 + s, :] @ b[:, c0:c0 + s]
-        c[r0:r0 + s, c0:c0 + s] += block
-        return float(block.sum())
-
     def leaf_batch(self, tasks) -> List[Any]:
         """All pending output blocks in one stacked batched matmul.
 
         Leaves of equal size share a ``[k, s, n] @ [k, n, s]`` call; each
-        slice is the same GEMM the scalar path runs, and leaf blocks of C
-        are disjoint, so accumulation order does not matter.
+        slice is one leaf's own GEMM.  Leaf blocks of C are disjoint and
+        each leaf computes its whole block, so a leaf assigns it: write
+        order does not matter, and a leaf re-executed after a crash writes
+        the same block again instead of adding it twice.
         """
         if self.data is None:
             return [0.0] * len(tasks)
@@ -235,7 +227,7 @@ class MatmulApp(CashmereApplication):
             for j, i in enumerate(idxs):
                 t = tasks[i]
                 block = blocks[j]
-                c[t.row0:t.row0 + size, t.col0:t.col0 + size] += block
+                c[t.row0:t.row0 + size, t.col0:t.col0 + size] = block
                 out[i] = float(block.sum())
         return out
 

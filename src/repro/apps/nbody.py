@@ -301,15 +301,15 @@ class NBodyApp(CashmereApplication):
         return self.result_bytes(task)
 
     # -- real execution ----------------------------------------------------------
-    supports_leaf_batch = True
-
     def leaf_batch(self, tasks) -> List[Any]:
         """One vectorized all-pairs pass over every pending leaf's bodies.
 
-        Concatenating the body ranges keeps each row's reduction identical
-        to the scalar path (forces are computed row-independently), so the
-        staged positions/velocities and per-task checksums match
-        ``leaf_result`` exactly.
+        Forces are computed row-independently, so concatenating the body
+        ranges leaves each row's reduction unchanged: the staged
+        positions/velocities and per-task checksums are the same however
+        the leaves are batched.  Leaves write into staging arrays so
+        in-iteration updates do not corrupt other leaves' inputs;
+        program() commits them after the round.
         """
         if self.data is None:
             return [0.0] * len(tasks)
@@ -331,23 +331,6 @@ class NBodyApp(CashmereApplication):
             out.append(float(a.sum()))
             off += t.count
         return out
-
-    def leaf_result(self, task: NBodyTask) -> Any:
-        if self.data is None:
-            return 0.0
-        pos, vel = self.data
-        lo, hi = task.lo, task.hi
-        delta = pos[None, :, :3] - pos[lo:hi, None, :3]
-        r2 = (delta ** 2).sum(axis=2) + SOFTENING
-        s = pos[None, :, 3] * r2 ** -1.5
-        acc = (delta * s[:, :, None]).sum(axis=1)
-        # Write into staging arrays so in-iteration updates do not corrupt
-        # other leaves' inputs; program() commits them via _staged.
-        self._staged_vel[lo:hi] = vel[lo:hi]
-        self._staged_vel[lo:hi, :3] += acc * self.dt
-        self._staged_pos[lo:hi] = pos[lo:hi]
-        self._staged_pos[lo:hi, :3] += self._staged_vel[lo:hi, :3] * self.dt
-        return float(acc.sum())
 
     def _prepare_iteration(self) -> None:
         if self.data is not None:

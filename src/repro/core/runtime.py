@@ -64,7 +64,6 @@ class CashmereConfig(RuntimeConfig):
     DEFAULT_STEAL_BACKOFF_MAX_S = 0.02
 
     def __init__(self, workers_per_node: Optional[int] = None,
-                 kernel_compile_s: float = 0.0,
                  runtime_info_bytes: float = 4096.0,
                  scheduler_policy: str = "makespan",
                  out_of_core: bool = False,
@@ -74,8 +73,6 @@ class CashmereConfig(RuntimeConfig):
         kwargs.setdefault("steal_backoff_max_s",
                           self.DEFAULT_STEAL_BACKOFF_MAX_S)
         super().__init__(workers_per_node=workers_per_node, **kwargs)
-        #: simulated time to JIT one kernel for one device at init
-        self.kernel_compile_s = kernel_compile_s
         #: size of the master's runtime-information broadcast
         self.runtime_info_bytes = runtime_info_bytes
         #: intra-node device placement policy (see DeviceScheduler)
@@ -123,24 +120,10 @@ class CashmereRuntime(SatinRuntime):
     # ------------------------------------------------------------------
     # initialization (Sec. III-B "On initialization")
     # ------------------------------------------------------------------
-    def begin(self, root_task: Any):
-        """Start a Cashmere run without driving the event loop.
-
-        The initialization phase (runtime-info broadcast + kernel
-        compilation) runs to completion here — makespan measurement starts
-        *after* it, as in :meth:`run` — and the returned root process is
-        then driven by the caller (see :meth:`SatinRuntime.begin`).
-        """
-        if self._started:
-            raise RuntimeError(
-                f"a {type(self).__name__} instance runs exactly once")
-        self._started = True
-        self._start_nodes()
-        init_proc = self.env.process(self._initialize())
-        self.env.run(until=init_proc)
-        master = self.cluster.node(0)
-        self._run_start = self.env.now
-        return self.env.process(self._root(master, root_task))
+    def _init_phase(self) -> None:
+        """Run :meth:`_initialize` to completion; the makespan clock starts
+        after it (see :meth:`SatinRuntime.begin`)."""
+        self.env.run(until=self.env.process(self._initialize()))
 
     def _initialize(self) -> Generator:
         """Master broadcast + per-node kernel compilation."""
@@ -154,9 +137,6 @@ class CashmereRuntime(SatinRuntime):
                     # compile() selects the most specific version and caches.
                     per_kernel[dev.spec.name] = self.library.compile(
                         name, dev.spec.name)
-                    if self.config.kernel_compile_s > 0:
-                        yield from node.cpu_delay(self.config.kernel_compile_s,
-                                                  label="jit-compile")
 
     # ------------------------------------------------------------------
     # the programming-model hooks

@@ -161,16 +161,6 @@ class DivideConquerApp:
     #: the host CPU just as it defeats SIMD lanes on the device.
     cpu_irregularity_penalty: float = 1.0
 
-    #: True when :meth:`leaf_batch` computes many leaf values in one
-    #: vectorized numpy call.  The runtime then defers each leaf's value to
-    #: a batch flushed at the consuming combine — leaf *timing* (and hence
-    #: the simulated event stream) is unchanged; only the host-side cost of
-    #: producing the values drops.  Leave False for apps whose per-leaf
-    #: computation does not vectorize across leaves (the raytracer's
-    #: divergent rays — the same property that defeats SIMD on the device,
-    #: Sec. V-A).
-    supports_leaf_batch: bool = False
-
     # -- program --------------------------------------------------------------
     def program(self, runtime: Any, master: Any, root_task: Any) -> Generator:
         """Process: the master's main program.
@@ -223,28 +213,42 @@ class DivideConquerApp:
     def leaf(self, task: Any, ctx: LeafContext) -> Generator:
         """Process: execute a leaf.
 
-        The Satin baseline implementation runs the computation
-        single-threaded on one CPU core of the node; Cashmere applications
-        usually leave this as-is (it is the CPU fallback of Fig. 4) and
-        implement :meth:`leaf_kernel_name` & friends instead.
+        The default runs the computation single-threaded on one CPU core of
+        the node; Cashmere applications usually leave this as-is (it is the
+        CPU fallback of Fig. 4) and implement :meth:`leaf_kernel_name` &
+        friends instead.  It charges the leaf's time and returns a deferred
+        token: the value is computed by :meth:`leaf_batch` when the combine
+        (or subtask return) consuming it runs, the same as for a leaf that
+        ran on a device.  An override returns its own value, which is not
+        deferred.
         """
         yield from ctx.node.cpu_compute(
             self.leaf_flops(task) * self.cpu_irregularity_penalty,
             label=f"{self.name}-leaf")
-        return self.leaf_result(task)
+        return ctx.runtime._leaf_token(task)
 
     def leaf_result(self, task: Any) -> Any:
-        """Result value of a leaf when running in modeled (no-data) mode."""
+        """Value of one leaf, for apps that compute a leaf at a time.
+
+        The default :meth:`leaf_batch` loops over it; an app implements
+        either this or :meth:`leaf_batch`.  ``None`` is the modeled
+        (no-data) value.
+        """
         return None
 
     def leaf_batch(self, tasks: Sequence[Any]) -> List[Any]:
-        """Compute :meth:`leaf_result` for many tasks in one call.
+        """Values of many deferred leaves: one per task, in order.
 
-        Called by the runtime only when :attr:`supports_leaf_batch` is True;
-        must return one value per task, in order, each equal to what
-        ``leaf_result(task)`` would have produced (including any side
-        effects such as output-array writes).  The default is the scalar
-        loop; vectorizing apps override it.
+        The runtime calls it once per flush, with every pending leaf, at the
+        first combine or subtask return that consumes one of them.  The
+        schedule decides which leaves share a call, so the values and side
+        effects (output-array writes) must be the same however a round's
+        leaves are split into calls.  Side effects happen at the flush,
+        before the combine that consumes the values, and run again for a
+        leaf computed twice (a stolen job re-executed after its thief
+        crashed), so a write should assign rather than accumulate.  The
+        default loops over :meth:`leaf_result`; vectorizing apps (matmul,
+        n-body, k-means) override it.
         """
         return [self.leaf_result(t) for t in tasks]
 

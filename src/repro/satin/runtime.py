@@ -100,9 +100,6 @@ class RuntimeConfig:
     #: a steal round polls every victim in random order (Satin's behavior);
     #: False limits each round to a single random victim (ablation)
     steal_sweep: bool = True
-    #: workers keep stealing after the root result is in (they are stopped
-    #: by the runtime); bound their total count of backoff loops per run
-    max_failed_steals: Optional[int] = None
     #: run the MCPL static verifier (:mod:`repro.mcl.verify`) over every
     #: registered kernel version before the run starts and refuse to run
     #: when an unsuppressed error-severity finding remains.  Ignored by the
@@ -115,16 +112,11 @@ class RuntimeConfig:
     #: off no detector exists and seeded obs event streams are
     #: byte-identical to an uninstrumented runtime.
     detect_races: bool = False
-    #: batch numpy leaf execution through ``App.leaf_batch`` where the
-    #: application supports it (matmul, n-body, k-means) — one vectorized
-    #: call per flush instead of per-leaf python.  Leaf *timing* and event
-    #: streams are unchanged; only the host-side cost of computing leaf
-    #: values drops.
-    leaf_batch: bool = True
 
 
 class _PendingLeaf:
-    """Deferred leaf value: a placeholder returned by the batched leaf path.
+    """Deferred leaf value: what the default ``leaf`` hook and a Cashmere
+    kernel leaf return.
 
     The token travels wherever the value would have (through ``job.done``,
     across the simulated network in a ``ResultReturn``) and is resolved —
@@ -182,15 +174,9 @@ class SatinRuntime:
         #: no work and no obs events
         self.race_detector: Optional[RaceDetector] = (
             RaceDetector(self) if self.config.detect_races else None)
-        #: deferred leaf values awaiting one vectorized ``app.leaf_batch``
-        #: call (flushed at the consuming combine); the guard on the app's
-        #: default ``leaf`` hook ensures the batched path replays exactly
-        #: the timing that hook would have produced
+        #: deferred leaf values awaiting one ``app.leaf_batch`` call
+        #: (flushed at the consuming combine or subtask return)
         self._pending_leaves: List[_PendingLeaf] = []
-        self._leaf_batching: bool = bool(
-            self.config.leaf_batch
-            and getattr(app, "supports_leaf_batch", False)
-            and type(app).leaf is DivideConquerApp.leaf)
         #: per-rank steal-round caches: candidate victim ranks (rebuilt when
         #: cluster membership changes) and the request hooks (message
         #: builder + obs-off attempt counter), so a steal round stops
@@ -241,10 +227,11 @@ class SatinRuntime:
     def begin(self, root_task: Any) -> Process:
         """Start the run without driving the event loop.
 
-        Starts the node processes and the root computation, then returns the
-        root :class:`~repro.sim.engine.Process` *without* running the
-        simulation.  External drivers (the ``repro.serve`` job executor)
-        advance the environment themselves — e.g. in bounded
+        Starts the node processes, runs the init phase (:meth:`_init_phase`)
+        to completion, starts the makespan clock and the root computation,
+        then returns the root :class:`~repro.sim.engine.Process` *without*
+        running the simulation.  External drivers (the ``repro.serve`` job
+        executor) advance the environment themselves — e.g. in bounded
         :meth:`~repro.sim.engine.Environment.step` slices interleaved with
         other work — and call :meth:`complete` once the root process is
         processed.  ``run()`` is exactly ``begin`` + ``env.run`` +
@@ -255,9 +242,15 @@ class SatinRuntime:
                 f"a {type(self).__name__} instance runs exactly once")
         self._started = True
         self._start_nodes()
+        self._init_phase()
         master = self.cluster.node(0)
         self._run_start = self.env.now
         return self.env.process(self._root(master, root_task))
+
+    def _init_phase(self) -> None:
+        """Run the set-up phase to completion before the makespan clock
+        starts.  Plain Satin has none and schedules no event here; Cashmere
+        broadcasts run-time information and compiles kernels."""
 
     def complete(self, root_proc: Process) -> RunResult:
         """Finish a run started with :meth:`begin`.
@@ -334,9 +327,7 @@ class SatinRuntime:
         programs: one spawn+sync round of the master's main loop)."""
         result = yield from self._run_task(node, task, depth=0, manycore=False,
                                            task_id=RaceDetector.ROOT)
-        if self._leaf_batching:
-            result = self._leaf_value(result)  # a root-is-leaf task
-        return result
+        return self._leaf_value(result)  # a root-is-leaf task
 
     def broadcast_from(self, node: ComputeNode, nbytes: float,
                        tag: str = "app-bcast", payload: Any = None) -> Generator:
@@ -378,7 +369,6 @@ class SatinRuntime:
         even across hours of virtual time.
         """
         policy = self.steal_policy
-        failed = 0
         backoff = policy.initial_backoff(self.config)
         deque = self.deques[node.rank]
         try:
@@ -387,14 +377,9 @@ class SatinRuntime:
                 if job is None and len(self.cluster.alive_nodes()) > 1:
                     job = yield from self._try_steal(node)
                 if job is not None:
-                    failed = 0
                     backoff = policy.initial_backoff(self.config)
                     yield from self._execute_job(node, job)
                     continue
-                failed += 1
-                limit = self.config.max_failed_steals
-                if limit is not None and failed >= limit:
-                    return
                 # Sleep until the backoff expires or local work arrives.
                 wait_ev = deque.wait()
                 if wait_ev.triggered:
@@ -622,11 +607,9 @@ class SatinRuntime:
                              depth=job.depth)
                 deque.push(job)
             results = yield from self._sync(node, jobs, task_id)
-        if self._leaf_batching:
-            # Child results may be deferred-leaf tokens (locally produced or
-            # returned over the network); the combine consumes values.
-            results = [self._leaf_value(r) for r in results]
-        return app.combine(task, results)
+        # Child results may be deferred-leaf tokens (locally produced or
+        # returned over the network); the combine consumes values.
+        return app.combine(task, [self._leaf_value(r) for r in results])
 
     def _manycore_enabled(self, node: ComputeNode) -> bool:
         """Whether this runtime honors enableManyCore (Cashmere overrides)."""
@@ -740,26 +723,14 @@ class SatinRuntime:
     def _execute_leaf(self, node: ComputeNode, task: Any,
                       task_id: int = RaceDetector.ROOT) -> Generator:
         """Leaf execution; plain Satin runs it on one CPU core."""
-        app = self.app
-        if self._leaf_batching:
-            # Same timing as the default DivideConquerApp.leaf (the guard in
-            # __init__ checked the app did not override it); only the value
-            # is deferred into the batch.
-            yield from node.cpu_compute(
-                app.leaf_flops(task) * app.cpu_irregularity_penalty,
-                label=f"{app.name}-leaf")
-            return self._leaf_token(task)
-        ctx = LeafContext(self, node, task_id)
-        result = yield from app.leaf(task, ctx)
+        result = yield from self.app.leaf(task, LeafContext(self, node, task_id))
         return result
 
-    def _leaf_token(self, task: Any) -> Any:
-        """The leaf's value — deferred into the batch when batching is on."""
-        if self._leaf_batching:
-            token = _PendingLeaf(task)
-            self._pending_leaves.append(token)
-            return token
-        return self.app.leaf_result(task)
+    def _leaf_token(self, task: Any) -> _PendingLeaf:
+        """The leaf's value, deferred into the next ``app.leaf_batch``."""
+        token = _PendingLeaf(task)
+        self._pending_leaves.append(token)
+        return token
 
     def _leaf_value(self, value: Any) -> Any:
         """Resolve a value that may be a :class:`_PendingLeaf` token."""

@@ -8,24 +8,17 @@ hot paths must keep whatever the schedule.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.base import run_cashmere, run_satin
-from repro.apps.kmeans import KMeansApp
-from repro.apps.matmul import MatmulApp
-from repro.apps.nbody import NBodyApp
-from repro.apps.raytracer import RaytracerApp
-from repro.cluster.das4 import ClusterConfig
-from repro.core.runtime import CashmereConfig
-from repro.satin.runtime import RuntimeConfig
+from repro.apps import kmeans, matmul, nbody
 from repro.sim.engine import Environment, Timeout
 from repro.sim.network import QDR_INFINIBAND, Network
-from repro.sweep.spec import ClusterSpec
 
 #: slack for comparing sums of float virtual times
 _EPS = 1e-12
@@ -103,78 +96,85 @@ def test_transmit_invariants(sends):
 
 
 # ----------------------------------------------------------------------
-# determinism hashes: leaf_batch on/off for all five seeded apps
+# property: a leaf's value does not depend on which batch computes it
 # ----------------------------------------------------------------------
-def _det_cluster() -> ClusterConfig:
-    return ClusterConfig(
-        name="det-3",
-        nodes=[("gtx480",), ("k20", "xeon_phi"), ("c2050",)])
+def _round_leaves(app, task):
+    """The leaf tasks of one subtask round, in task order."""
+    if app.is_leaf(task):
+        return [task]
+    return [leaf for child in app.divide(task)
+            for leaf in _round_leaves(app, child)]
 
 
-def _stream_hash(app_name: str, leaf_batch: bool) -> str:
-    if app_name == "kmeans":
-        app = KMeansApp(n_points=1 << 18, iterations=2, leaf_points=1 << 15)
-    elif app_name == "matmul":
-        app = MatmulApp(n=2048, leaf_block=512)
-    elif app_name == "nbody":
-        app = NBodyApp(n_bodies=1 << 14, iterations=2, leaf_bodies=1 << 11)
-    elif app_name == "raytracer":
-        app = RaytracerApp(width=256, height=128, samples=4, leaf_rows=16)
-    else:  # satin-raytracer
-        app = RaytracerApp(width=512, height=256, samples=4, leaf_rows=16)
-        cluster_config = ClusterSpec(kind="satin_cpu", num_nodes=4).build()
-        _res, _rt, cluster = run_satin(
-            app, cluster_config, app.root_task(),
-            config=RuntimeConfig(seed=42, leaf_batch=leaf_batch),
-            obs=True, return_runtime=True)
-        return hashlib.sha256(
-            cluster.obs.serialize().encode()).hexdigest()
-    _res, _rt, cluster = run_cashmere(
-        app, _det_cluster(), app.root_task(),
-        config=CashmereConfig(seed=42, leaf_batch=leaf_batch),
-        obs=True, return_runtime=True)
-    return hashlib.sha256(cluster.obs.serialize().encode()).hexdigest()
+@st.composite
+def _real_apps(draw):
+    """(build, side_effects) for a real-data k-means, matmul or n-body app
+    of drawn size and seed; ``build()`` returns a fresh app ready for one
+    round of leaves."""
+    seed = draw(st.integers(0, 2 ** 16))
+    kind = draw(st.sampled_from(["kmeans", "matmul", "nbody"]))
+    if kind == "kmeans":
+        k = draw(st.integers(1, 8))
+        n = draw(st.integers(k, 256))
+        return partial(kmeans.small_app, n_points=n, k=k,
+                       d=draw(st.integers(1, 12)),
+                       leaf_points=draw(st.integers(1, n)),
+                       seed=seed), lambda app: ()
+    if kind == "matmul":
+        leaf = draw(st.integers(1, 32))
+        return partial(matmul.small_app, n=leaf * 2 ** draw(st.integers(0, 3)),
+                       leaf_block=leaf, seed=seed), lambda app: (app.data[2],)
+    n = draw(st.integers(1, 256))
+    leaf = draw(st.integers(1, n))
+
+    def build():
+        app = nbody.small_app(n_bodies=n, leaf_bodies=leaf, seed=seed)
+        app._prepare_iteration()
+        return app
+
+    return build, lambda app: (app._staged_pos, app._staged_vel)
 
 
-@pytest.mark.parametrize(
-    "app_name", ["kmeans", "matmul", "nbody", "raytracer", "satin-raytracer"])
-def test_leaf_batch_stream_hash_invariant(app_name):
-    assert _stream_hash(app_name, leaf_batch=True) == \
-        _stream_hash(app_name, leaf_batch=False)
+def _assert_same(got, want):
+    if isinstance(want, (tuple, list)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    elif isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
 
 
-# ----------------------------------------------------------------------
-# leaf_batch values match the scalar reference bit-for-bit (real data)
-# ----------------------------------------------------------------------
-def _small_cluster() -> ClusterConfig:
-    return ClusterConfig(name="t3", nodes=[(), (), ()])
+@settings(max_examples=100, deadline=None)
+@given(_real_apps(), st.data())
+def test_leaf_batch_split_invariant(app_case, data):
+    """The schedule decides which pending leaves one ``leaf_batch`` call
+    computes, so deferral is exact only if any split of a round's leaves,
+    in any completion order, gives the values and side effects of
+    computing one leaf per call."""
+    build, side_effects = app_case
+    single = build()
+    leaves = _round_leaves(single, single.root_task())
+    want = [single.leaf_batch([t])[0] for t in leaves]
 
+    batched = build()
+    order = data.draw(st.permutations(range(len(leaves))))
+    cuts = data.draw(st.lists(st.booleans(), min_size=len(leaves) - 1,
+                              max_size=len(leaves) - 1))
+    batches = [[order[0]]]
+    for i, cut in zip(order[1:], cuts):
+        if cut:
+            batches.append([])
+        batches[-1].append(i)
+    got = [None] * len(leaves)
+    for batch in batches:
+        values = batched.leaf_batch([leaves[i] for i in batch])
+        for i, value in zip(batch, values):
+            got[i] = value
 
-def test_leaf_batch_values_match_scalar():
-    import numpy as np
-
-    from repro.apps import kmeans, matmul, nbody
-
-    for mod, key in ((matmul, "matmul"), (nbody, "nbody"),
-                     (kmeans, "kmeans")):
-        outputs = []
-        for leaf_batch in (True, False):
-            app = mod.small_app(seed=3)
-            result = run_satin(app, _small_cluster(), app.root_task(),
-                               config=RuntimeConfig(seed=7,
-                                                    leaf_batch=leaf_batch))
-            if key == "matmul":
-                outputs.append((result.result, app.data[2].copy()))
-            elif key == "nbody":
-                outputs.append((result.result, app.data[0].copy(),
-                                app.data[1].copy()))
-            else:
-                outputs.append((app.centroids.copy(),))
-        for batched, scalar in zip(*outputs):
-            if isinstance(batched, np.ndarray):
-                assert np.array_equal(batched, scalar), key
-            else:
-                assert batched == scalar, key
+    _assert_same(got, want)
+    _assert_same(side_effects(batched), side_effects(single))
 
 
 # ----------------------------------------------------------------------

@@ -109,7 +109,8 @@ def test_stream_is_replayable_json_lines():
 # streams *across* builds: any refactor of the spawn/sync machinery, the
 # scheduler, or the protocol chains that changes even one event is a
 # regression and must either be reverted or consciously re-golden-ed with
-# a changelog note.  Configs mirror tests/test_fastpaths.py.
+# a changelog note.  Every app computes its leaf values through the one
+# deferred ``leaf_batch`` path, so these streams pin that path too.
 
 GOLDEN_STREAM_HASHES = {
     "kmeans":

@@ -1,7 +1,9 @@
 """Tests for the extracted fault-tolerance layer (repro.satin.ft)."""
 
+import numpy as np
 import pytest
 
+from repro.apps import matmul
 from repro.cluster import SimCluster, satin_cpu_cluster
 from repro.satin import RuntimeConfig, SatinRuntime
 from repro.satin.ft import FaultTolerance
@@ -212,3 +214,25 @@ def test_orphans_requeued_at_origin_after_notify_latency():
     # the orphan table holds no entries stolen by the dead rank anymore
     assert all(job.thief_rank != 2
                for job in runtime.ft.stolen_out.values())
+
+
+def _matmul_run(crash=None):
+    app = matmul.small_app(n=256, leaf_block=32, seed=1)
+    runtime = SatinRuntime(SimCluster(satin_cpu_cluster(4)), app,
+                           RuntimeConfig(seed=5))
+    if crash is not None:
+        runtime.crash_after(*crash)
+    return app, runtime.run(app.root_task())
+
+
+@pytest.mark.parametrize("rank, fraction", [(1, 0.25), (2, 0.3), (3, 0.4)])
+def test_reexecuted_matmul_leaf_writes_its_block_once(rank, fraction):
+    """A thief that crashes after computing a stolen leaf has the job
+    re-executed as an orphan, so that leaf's block of C is computed twice.
+    C must still come out as in the crash-free run, not with the block
+    added twice."""
+    clean_app, clean = _matmul_run()
+    app, result = _matmul_run((rank, fraction * clean.stats.makespan_s))
+    assert result.stats.orphans_requeued > 0
+    assert result.result == clean.result
+    assert np.array_equal(app.data[2], clean_app.data[2])
