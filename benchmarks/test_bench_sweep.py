@@ -7,9 +7,8 @@ path-tracer and k-means++ pipelines on the DAG executor, scale 0.25),
 and writes the machine-readable ``BENCH_sweep.json`` (schema in
 docs/sweep.md) next to the other results.  CI's bench-smoke job runs
 this at reduced scale (``REPRO_BENCH_NODE_COUNTS``) with ``--jobs 2``
-semantics (``REPRO_BENCH_SWEEP_JOBS``), gates the recorded
-``events_per_sec`` against the committed engine baseline, and uploads
-the JSON as an artifact.
+semantics (``REPRO_BENCH_SWEEP_JOBS``), checks that no cell failed, and
+uploads the JSON as an artifact.
 
 Assertions are about the *engine*, not the host's speed: the warm pass
 must be served entirely from the cache (and be fast in absolute terms),

@@ -95,31 +95,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "that accept one (the DAG-app ablation); "
                               "e.g. 0.25 for a reduced-scale smoke sweep")
 
-    bench_engine_p = sub.add_parser(
-        "bench-engine",
-        help="simulation-engine micro-benchmark: events/s on a synthetic "
-             "hot-path workload and the satin raytracer (n=8), written to "
-             "BENCH_engine.json")
-    bench_engine_p.add_argument("--out", type=pathlib.Path,
-                                default=pathlib.Path("BENCH_engine.json"),
-                                help="output path (default: "
-                                     "BENCH_engine.json)")
-    bench_engine_p.add_argument("--repeats", type=int, default=3,
-                                help="repeats per workload; best is "
-                                     "recorded (default: 3)")
-    bench_engine_p.add_argument("--check-baseline", type=pathlib.Path,
-                                default=None, metavar="PATH",
-                                help="fail (exit 1) if a workload's "
-                                     "events/s drops more than the "
-                                     "tolerance below this committed "
-                                     "baseline record")
-    bench_engine_p.add_argument("--tolerance", type=float, default=0.25,
-                                help="allowed fractional drop vs the "
-                                     "baseline (default: 0.25)")
-    bench_engine_p.add_argument("--json", action="store_true",
-                                dest="as_json",
-                                help="print the full JSON record")
-
     trace_p = sub.add_parser(
         "trace", help="run an app with the event bus on and export a "
                       "Chrome-trace JSON (open in chrome://tracing)")
@@ -241,13 +216,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=args.seed, policy=args.admission_policy,
             host=args.host, port=args.port, tenants=args.tenant,
             as_json=args.as_json)
-
-    if args.command == "bench-engine":
-        from .sweep.engine_bench import bench_engine_main
-        return bench_engine_main(args.out, repeats=args.repeats,
-                                 check=args.check_baseline,
-                                 tolerance=args.tolerance,
-                                 as_json=args.as_json)
 
     if args.command == "trace":
         from .obs.cli import trace_main

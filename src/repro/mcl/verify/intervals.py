@@ -121,10 +121,6 @@ def _neg(a: Interval) -> Interval:
     return Interval(tuple(-h for h in a.his), tuple(-lo for lo in a.los))
 
 
-def _first(bounds: Tuple[Poly, ...]) -> Optional[Poly]:
-    return bounds[0] if bounds else None
-
-
 def _mul(a: Interval, b: Interval) -> Interval:
     # Constant factor: scale (swapping for negative constants).
     for x, y in ((a, b), (b, a)):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = ["ObsEvent", "EventBus", "INTERVAL_KINDS", "POINT_KINDS"]
 
@@ -143,10 +143,6 @@ class EventBus:
         self.enabled = True
         return self
 
-    def disable(self) -> "EventBus":
-        self.enabled = False
-        return self
-
     # -- emission ----------------------------------------------------------
     def emit(self, kind: str, node: Optional[int] = None,
              lane: Optional[str] = None, start: Optional[float] = None,
@@ -189,7 +185,3 @@ class EventBus:
         determinism regression tests enforce.
         """
         return "\n".join(ev.serialize() for ev in self.events)
-
-    @staticmethod
-    def serialize_events(events: Iterable[ObsEvent]) -> str:
-        return "\n".join(ev.serialize() for ev in events)

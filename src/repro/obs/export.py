@@ -22,7 +22,8 @@ from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
 
 from ..util.tables import format_table
 from .bus import INTERVAL_KINDS, EventBus, ObsEvent
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
+                      _histogram_entry)
 
 if TYPE_CHECKING:
     from ..cluster.das4 import SimCluster
@@ -290,9 +291,10 @@ def metrics_summary(registry: MetricsRegistry,
                 rows.append([name, metric.kind, "-", 0.0])
         elif isinstance(metric, Histogram):
             for key, samples in metric.items():
-                summary = (f"n={len(samples)} min={min(samples):.4g} "
-                           f"p50={sorted(samples)[len(samples) // 2]:.4g} "
-                           f"max={max(samples):.4g}") if samples else "n=0"
+                entry = _histogram_entry(samples)
+                summary = (f"n={entry['count']} min={entry['min']:.4g} "
+                           f"p50={entry['p50']:.4g} "
+                           f"max={entry['max']:.4g}") if samples else "n=0"
                 rows.append([name, metric.kind, _fmt_labels(key), summary])
     return format_table(["metric", "type", "labels", "value"], rows,
                         title=title)

@@ -221,8 +221,8 @@ def _histogram_entry(samples: List[float]) -> Dict[str, Any]:
     return {
         "count": len(samples),
         "sum": sum(samples),
-        "min": ordered[0] if ordered else None,
-        "max": ordered[-1] if ordered else None,
+        "min": min(samples) if samples else None,
+        "max": max(samples) if samples else None,
         "mean": sum(samples) / len(samples) if samples else None,
         "p50": _sample_quantile(ordered, 0.5),
         "p99": _sample_quantile(ordered, 0.99),

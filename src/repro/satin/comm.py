@@ -160,8 +160,8 @@ class CommLayer:
                  reply_timeout_s: Optional[float] = None,
                  reply_retries: int = 1):
         self.env = env
-        #: default reply-timeout (seconds) for :meth:`CommChannel.request`;
-        #: ``None`` waits for the reply or a failure notification
+        #: reply timeout (seconds) of each :meth:`CommChannel.request`
+        #: attempt; ``None`` waits for the reply or a failure notification
         self.reply_timeout_s = reply_timeout_s
         #: extra attempts after the first timeout (bounded retry)
         self.reply_retries = reply_retries
@@ -295,28 +295,24 @@ class CommChannel:
     def request(self, dst: int,
                 build: Callable[[int], SatinMessage],
                 nbytes: float,
-                timeout: Optional[float] = None,
-                retries: Optional[int] = None,
                 on_attempt: Optional[Callable[[int, int], None]] = None
                 ) -> Generator:
         """Process: send a request and wait for its reply.
 
         ``build(req_id)`` constructs the message for each attempt (each
         attempt gets a fresh id, so a late reply to a timed-out attempt is
-        recognizably stale).  ``timeout`` / ``retries`` default to the
-        layer's configuration; with ``timeout=None`` the request waits
-        until the reply arrives or :meth:`CommLayer.fail_pending_to` fails
-        it.  ``on_attempt(req_id, attempt)`` runs before each send (the
-        runtime hooks statistics and ``steal_attempt`` events here).
+        recognizably stale).  Each attempt waits the layer's
+        ``reply_timeout_s``, and ``reply_retries`` more attempts follow the
+        first; with ``reply_timeout_s=None`` the request waits until the
+        reply arrives or :meth:`CommLayer.fail_pending_to` fails it.
+        ``on_attempt(req_id, attempt)`` runs before each send (the runtime
+        hooks statistics and ``steal_attempt`` events here).
 
         Returns the reply value, or ``None`` after all attempts timed out.
         """
         layer = self.layer
-        if timeout is None:
-            timeout = layer.reply_timeout_s
-        if retries is None:
-            retries = layer.reply_retries
-        attempts = 1 + (retries if timeout is not None else 0)
+        timeout = layer.reply_timeout_s
+        attempts = 1 + (layer.reply_retries if timeout is not None else 0)
         for attempt in range(attempts):
             if dst in layer.dead_ranks:
                 # Membership already declared the destination dead: fail

@@ -109,10 +109,6 @@ class DependencyTracker:
         ready, self._ready = self._ready, []
         return ready
 
-    @property
-    def blocked_count(self) -> int:
-        return len(self._remaining)
-
 
 class LeafContext:
     """What a leaf computation may use: the node it runs on, and — under

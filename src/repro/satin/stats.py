@@ -63,7 +63,6 @@ class RunStats:
         self._attempts_c: Dict[int, Any] = {}
         self._successes_c: Dict[int, Any] = {}
         self._orphans_c: Dict[int, Any] = {}
-        self._depth_c: Dict[int, Any] = {}
         self._leaf_flops_inc = self._leaf_flops.child()
         self._results_inc = self._results.child()
         self._fallbacks_inc = self._fallbacks.child()
@@ -116,12 +115,6 @@ class RunStats:
 
     def count_out_of_core(self) -> None:
         self._ooc_inc()
-
-    def observe_queue_depth(self, rank: int, depth: int) -> None:
-        fn = self._depth_c.get(rank)
-        if fn is None:
-            fn = self._depth_c[rank] = self._queue_depth.child(node=rank)
-        fn(depth)
 
     # -- legacy field views -------------------------------------------------
     @staticmethod

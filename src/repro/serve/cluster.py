@@ -88,20 +88,11 @@ class ClusterPool:
             node.job_id = None
             node.is_master = False
 
-    def lease_of(self, job_id: int) -> List[PoolNode]:
-        return self.leases.get(job_id, [])
-
     # -- liveness (churn) --------------------------------------------------
     def fail(self, rank: int) -> PoolNode:
         """Mark one pool node dead; it stops being allocatable."""
         node = self.nodes[rank]
         node.alive = False
-        return node
-
-    def restore(self, rank: int) -> PoolNode:
-        """Bring a dead node back (heal after churn)."""
-        node = self.nodes[rank]
-        node.alive = True
         return node
 
     def pick_churn_victim(self) -> Optional[int]:

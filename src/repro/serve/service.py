@@ -326,10 +326,6 @@ class JobService:
         self._update_pool_gauges()
         return (rank, victim_job)
 
-    def restore_node(self, rank: int) -> None:
-        self.pool.restore(rank)
-        self._update_pool_gauges()
-
     # -- reporting ---------------------------------------------------------
     def report(self, job: JobRecord) -> JobReport:
         return JobReport(

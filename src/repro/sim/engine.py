@@ -413,8 +413,8 @@ class Environment:
         #: hot loop stops allocating one throwaway list per event
         self._cb_pool: List[List[Callable[["Event"], None]]] = []
         #: events processed so far (each :meth:`step`, or loop iteration of
-        #: :meth:`run`, handles exactly one) — the denominator of the
-        #: events/second throughput the benchmark harness records
+        #: :meth:`run`, handles exactly one) — the repository benchmark in
+        #: ``bench/`` reads it as ``sim.engine.events``
         self.events_processed: int = 0
         #: observability event bus (repro.obs): disabled by default, so the
         #: instrumented call sites throughout the stack cost nothing.

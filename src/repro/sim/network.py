@@ -109,10 +109,6 @@ class Endpoint:
             return self.mailbox.get()
         return self.mailbox.get(lambda m: m.tag == tag)
 
-    def recv_match(self, predicate):
-        """Event: receive the next message matching an arbitrary predicate."""
-        return self.mailbox.get(predicate)
-
 
 class _TransmitOp:
     """One in-flight transfer, driven by a chain of event callbacks.

@@ -70,10 +70,6 @@ class Resource:
         """Number of slots currently in use."""
         return len(self._users)
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     def request(self) -> _Request:
         return _Request(self)
 
@@ -95,7 +91,7 @@ class Resource:
 
 
 class _StoreGet(Event):
-    __slots__ = ("filt", "env_store")
+    __slots__ = ("filt",)
 
     def __init__(self, store: "Store", filt: Optional[Callable[[Any], bool]] = None):
         env = store.env
@@ -108,10 +104,6 @@ class _StoreGet(Event):
         self.filt = filt
         store._getters.append(self)
         store._trigger()
-
-    def cancel(self) -> None:
-        if self in self.env_store._getters:  # pragma: no cover - defensive
-            self.env_store._getters.remove(self)
 
 
 class _StorePut(Event):
@@ -148,13 +140,7 @@ class Store:
 
     def get(self, filt: Optional[Callable[[Any], bool]] = None) -> _StoreGet:
         """Get the first item (matching ``filt`` if given)."""
-        ev = _StoreGet(self, filt)
-        ev.env_store = self
-        return ev
-
-    def cancel_get(self, ev: _StoreGet) -> None:
-        if ev in self._getters:
-            self._getters.remove(ev)
+        return _StoreGet(self, filt)
 
     def _insert(self, item: Any) -> None:
         self.items.append(item)

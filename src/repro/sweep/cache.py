@@ -108,12 +108,6 @@ class SweepCache:
         self.hits += 1
         return record
 
-    def get_result(self, key: str) -> Optional[CellResult]:
-        record = self.get(key)
-        if record is None:
-            return None
-        return CellResult.from_dict(record["result"])
-
     def put(self, key: str, spec: RunSpec, result: CellResult,
             wall_s: float) -> None:
         """Atomically persist one cell's record."""

@@ -4,6 +4,8 @@ Property families, straight from the design contract:
 
 * counters are monotone under any sequence of increments,
 * histogram quantiles are always bounded by min/max,
+* the metrics summary table prints a histogram's own min, interpolated
+  p50 and max,
 * per-device utilization is within [0, 1] on randomized workloads,
 * the Chrome-trace export round-trips ``json.loads`` with non-decreasing
   ``ts`` per (pid, tid) track, for arbitrary event streams,
@@ -17,11 +19,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 except ImportError:  # pragma: no cover - hypothesis is in the CI image
     pytest.skip("hypothesis not installed", allow_module_level=True)
@@ -30,7 +33,7 @@ from repro.cluster.das4 import SimCluster, heterogeneous_kmeans
 from repro.graph.apps import GRAPH_APPS
 from repro.graph.executor import GraphConfig, GraphRuntime
 from repro.obs.bus import EventBus, ObsEvent
-from repro.obs.export import Intervals, chrome_trace
+from repro.obs.export import Intervals, chrome_trace, metrics_summary
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 # ---------------------------------------------------------------------------
@@ -122,6 +125,22 @@ def test_histogram_quantile_domain(q):
 
 def test_empty_histogram_quantile_is_none():
     assert Histogram("test_hist").quantile(0.5) is None
+
+
+@given(samples=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                        min_size=1, max_size=100))
+@example(samples=[1.0, 2.0, 3.0, 4.0])
+@example(samples=[0.0, -0.0])
+def test_metrics_summary_row_matches_histogram(samples):
+    registry = MetricsRegistry()
+    h = registry.histogram("test_hist")
+    for s in samples:
+        h.observe(s)
+    row = re.search(r"n=(\S+) min=(\S+) p50=(\S+) max=(\S+)",
+                    metrics_summary(registry))
+    assert row.groups() == (str(len(samples)), format(h.min(), ".4g"),
+                            format(h.quantile(0.5), ".4g"),
+                            format(h.max(), ".4g"))
 
 
 # ---------------------------------------------------------------------------

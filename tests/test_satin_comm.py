@@ -72,14 +72,14 @@ def test_request_reply_roundtrip():
 def test_request_timeout_with_bounded_retries():
     """An unserved request times out; each retry gets a fresh req_id and
     the caller gets ``None`` after the final attempt."""
-    cluster, env, layer, ch0, ch1 = _two_node_layer()
+    cluster, env, layer, ch0, ch1 = _two_node_layer(
+        reply_timeout_s=0.005, reply_retries=2)
     attempt_ids = []
     # node 1 registers no StealRequest handler: requests vanish silently
 
     def thief():
         reply = yield from ch0.request(
             1, lambda rid: StealRequest(req_id=rid, thief=0), nbytes=64,
-            timeout=0.005, retries=2,
             on_attempt=lambda rid, attempt: attempt_ids.append(rid))
         return reply
 
