@@ -40,20 +40,11 @@ from .findings import (
     scan_suppressions,
 )
 from .races import Access, RaceDetector, RaceReport, VectorClock
-from .static import (
-    DEFAULT_CONFIG,
-    AnalyzerConfig,
-    Baseline,
-    analyze_file,
-    analyze_source,
-    analyze_tree,
-)
+from .static import Baseline, analyze_file, analyze_source, analyze_tree
 
 __all__ = [
     "Access",
-    "AnalyzerConfig",
     "Baseline",
-    "DEFAULT_CONFIG",
     "Finding",
     "RaceDetector",
     "RaceReport",

@@ -46,14 +46,16 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from .findings import Finding, filter_suppressed, scan_suppressions
 
 __all__ = [
-    "AnalyzerConfig",
-    "DEFAULT_CONFIG",
+    "WALLCLOCK_OK",
+    "ENVIRON_HOT",
     "Baseline",
     "DEFAULT_BASELINE_PATH",
     "analyze_source",
     "analyze_file",
     "analyze_tree",
     "source_root",
+    "wallclock_allowed",
+    "environ_is_hot",
 ]
 
 
@@ -114,45 +116,41 @@ _MUTABLE_CTORS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class AnalyzerConfig:
-    """Scope knobs of the static pass.
+# Whitelists are :mod:`fnmatch` globs over *dotted module names*
+# (``repro.sweep.cli``).  A source with no known module name (a standalone
+# file or snippet) is treated as hot and non-whitelisted, so every rule
+# applies — that is what the golden tests rely on.
 
-    Patterns are :mod:`fnmatch` globs over *dotted module names*
-    (``repro.sweep.cli``).  A source with no known module name (a
-    standalone file or snippet) is treated as hot and non-whitelisted,
-    so every rule applies — that is what the golden tests rely on.
-    """
-
-    #: modules allowed to read the wall clock (REP102): the CLI entry
-    #: points and the bench records, which genuinely report host time
-    wallclock_ok: Tuple[str, ...] = (
-        "repro.__main__",
-        "repro.*.cli",
-        "repro.*.bench",
-        "benchmarks.*",
-    )
-    #: modules whose ``os.environ`` reads are hot-path hazards (REP106);
-    #: everything else (CLIs, the sweep cache resolving its default dir)
-    #: may read ambient configuration
-    environ_hot: Tuple[str, ...] = (
-        "repro.sim.*", "repro.satin.*", "repro.core.*",
-        "repro.devices.*", "repro.cluster.*", "repro.serve.*",
-        "repro.obs.*", "repro.apps.*",
-    )
-
-    def wallclock_allowed(self, module: Optional[str]) -> bool:
-        return module is not None and _matches(module, self.wallclock_ok)
-
-    def environ_is_hot(self, module: Optional[str]) -> bool:
-        return module is None or _matches(module, self.environ_hot)
+#: modules allowed to read the wall clock (REP102): the CLI entry points
+#: and the bench records, which genuinely report host time
+WALLCLOCK_OK: Tuple[str, ...] = (
+    "repro.__main__",
+    "repro.*.cli",
+    "repro.*.bench",
+    "benchmarks.*",
+)
+#: modules whose ``os.environ`` reads are hot-path hazards (REP106);
+#: everything else (CLIs, the sweep cache resolving its default dir) may
+#: read ambient configuration
+ENVIRON_HOT: Tuple[str, ...] = (
+    "repro.sim.*", "repro.satin.*", "repro.core.*",
+    "repro.devices.*", "repro.cluster.*", "repro.serve.*",
+    "repro.obs.*", "repro.apps.*",
+)
 
 
 def _matches(module: str, patterns: Sequence[str]) -> bool:
     return any(fnmatch.fnmatchcase(module, pat) for pat in patterns)
 
 
-DEFAULT_CONFIG = AnalyzerConfig()
+def wallclock_allowed(module: Optional[str]) -> bool:
+    """Whether ``module`` may read the wall clock (REP102 whitelist)."""
+    return module is not None and _matches(module, WALLCLOCK_OK)
+
+
+def environ_is_hot(module: Optional[str]) -> bool:
+    """Whether an ``os.environ`` read in ``module`` is a REP106 hazard."""
+    return module is None or _matches(module, ENVIRON_HOT)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +179,8 @@ class _Scope:
 
 
 class _Analyzer(ast.NodeVisitor):
-    def __init__(self, module: Optional[str], config: AnalyzerConfig):
+    def __init__(self, module: Optional[str]):
         self.module = module
-        self.config = config
         self.findings: List[Finding] = []
         #: alias -> canonical dotted module/class path ("np" -> "numpy")
         self.modules: Dict[str, str] = {}
@@ -459,7 +456,7 @@ class _Analyzer(ast.NodeVisitor):
 
     # -- REP102: wall clock ---------------------------------------------------
     def _check_wallclock(self, node: ast.Call) -> None:
-        if self.config.wallclock_allowed(self.module):
+        if wallclock_allowed(self.module):
             return
         name = self._resolve(node.func)
         if name in _WALLCLOCK_FUNCS:
@@ -471,7 +468,7 @@ class _Analyzer(ast.NodeVisitor):
 
     # -- REP106: os.environ ---------------------------------------------------
     def _check_environ_call(self, node: ast.Call) -> None:
-        if not self.config.environ_is_hot(self.module):
+        if not environ_is_hot(self.module):
             return
         name = self._resolve(node.func)
         if name == "os.getenv":
@@ -481,7 +478,7 @@ class _Analyzer(ast.NodeVisitor):
                               "object instead of ambient process state")
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if self.config.environ_is_hot(self.module):
+        if environ_is_hot(self.module):
             name = self._resolve(node)
             if name == "os.environ" or (
                     name is not None and name.startswith("os.environ.")):
@@ -603,8 +600,7 @@ def source_root() -> pathlib.Path:
 
 
 def analyze_source(source: str, *, module: Optional[str] = None,
-                   filename: str = "<source>",
-                   config: AnalyzerConfig = DEFAULT_CONFIG) -> List[Finding]:
+                   filename: str = "<source>") -> List[Finding]:
     """All REP1xx findings for one Python source, suppression-filtered.
 
     ``module`` is the dotted module name used for whitelist decisions and
@@ -612,7 +608,7 @@ def analyze_source(source: str, *, module: Optional[str] = None,
     Raises :class:`SyntaxError` for source that does not parse.
     """
     tree = ast.parse(source, filename=filename)
-    analyzer = _Analyzer(module=module, config=config)
+    analyzer = _Analyzer(module=module)
     analyzer.visit(tree)
     findings = filter_suppressed(analyzer.findings,
                                  scan_suppressions(source))
@@ -633,18 +629,16 @@ def _module_name(path: pathlib.Path, root: pathlib.Path) -> Optional[str]:
 
 
 def analyze_file(path: pathlib.Path, *,
-                 root: Optional[pathlib.Path] = None,
-                 config: AnalyzerConfig = DEFAULT_CONFIG) -> List[Finding]:
+                 root: Optional[pathlib.Path] = None) -> List[Finding]:
     """Findings for one file; the module name is derived relative to
     ``root`` (default: the installed ``repro`` package)."""
     root = root if root is not None else source_root()
     module = _module_name(path, root)
     return analyze_source(path.read_text(), module=module,
-                          filename=str(path), config=config)
+                          filename=str(path))
 
 
 def analyze_tree(root: Optional[pathlib.Path] = None, *,
-                 config: AnalyzerConfig = DEFAULT_CONFIG,
                  baseline: Optional[Baseline] = None) -> List[Finding]:
     """Findings for every ``*.py`` under ``root``, baseline-filtered.
 
@@ -654,7 +648,7 @@ def analyze_tree(root: Optional[pathlib.Path] = None, *,
     root = root if root is not None else source_root()
     findings: List[Finding] = []
     for path in sorted(root.rglob("*.py")):
-        findings.extend(analyze_file(path, root=root, config=config))
+        findings.extend(analyze_file(path, root=root))
     if baseline is not None:
         findings = baseline.filter(findings)
     return sorted(findings, key=Finding.sort_key)

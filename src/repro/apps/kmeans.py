@@ -204,7 +204,6 @@ class KMeansApp(CashmereApplication):
     def __init__(self, n_points: int = PAPER_POINTS, k: int = PAPER_K,
                  d: int = PAPER_D, iterations: int = PAPER_ITERATIONS,
                  leaf_points: int = 1 << 18,
-                 manycore_points: Optional[int] = None,
                  data: Optional[np.ndarray] = None,
                  centroids: Optional[np.ndarray] = None):
         self.n_points = n_points
@@ -212,8 +211,6 @@ class KMeansApp(CashmereApplication):
         self.d = d
         self.iterations = iterations
         self.leaf_points = leaf_points
-        self.manycore_points = manycore_points if manycore_points is not None \
-            else leaf_points
         #: optional real data: points [n, d]
         self.data = data
         #: current centroids (real mode); updated by program() per iteration
@@ -247,9 +244,6 @@ class KMeansApp(CashmereApplication):
 
     def is_leaf(self, task: KMeansTask) -> bool:
         return task.count <= self.leaf_points
-
-    def is_manycore(self, task: KMeansTask) -> bool:
-        return task.count <= self.manycore_points
 
     def divide(self, task: KMeansTask) -> List[KMeansTask]:
         mid = (task.lo + task.hi) // 2

@@ -145,16 +145,11 @@ class MatmulApp(CashmereApplication):
     KERNELS_OPTIMIZED = KERNELS_GPU + KERNELS_MIC
 
     def __init__(self, n: int = PAPER_N, leaf_block: int = 2048,
-                 manycore_block: Optional[int] = None,
                  data: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None):
         if n % leaf_block != 0:
             raise ValueError("n must be a multiple of leaf_block")
         self.n = n
         self.leaf_block = leaf_block
-        #: block size at which enableManyCore fires (default: the leaf
-        #: block, keeping every leaf individually stealable)
-        self.manycore_block = manycore_block if manycore_block is not None \
-            else leaf_block
         #: optional (a, b, c) arrays for real execution; each leaf writes
         #: its own block of c
         self.data = data
@@ -165,9 +160,6 @@ class MatmulApp(CashmereApplication):
 
     def is_leaf(self, task: MatmulTask) -> bool:
         return task.size <= self.leaf_block
-
-    def is_manycore(self, task: MatmulTask) -> bool:
-        return task.size <= self.manycore_block
 
     def divide(self, task: MatmulTask) -> List[MatmulTask]:
         half = task.size // 2

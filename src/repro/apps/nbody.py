@@ -222,14 +222,11 @@ class NBodyApp(CashmereApplication):
     def __init__(self, n_bodies: int = PAPER_BODIES,
                  iterations: int = PAPER_ITERATIONS, dt: float = 0.01,
                  leaf_bodies: int = 1 << 10,
-                 manycore_bodies: Optional[int] = None,
                  data: Optional[Tuple[np.ndarray, np.ndarray]] = None):
         self.n_bodies = n_bodies
         self.iterations = iterations
         self.dt = dt
         self.leaf_bodies = leaf_bodies
-        self.manycore_bodies = manycore_bodies if manycore_bodies is not None \
-            else leaf_bodies
         #: optional real data: (pos [n,4], vel [n,4])
         self.data = data
         #: position snapshots per iteration (real mode)
@@ -261,9 +258,6 @@ class NBodyApp(CashmereApplication):
 
     def is_leaf(self, task: NBodyTask) -> bool:
         return task.count <= self.leaf_bodies
-
-    def is_manycore(self, task: NBodyTask) -> bool:
-        return task.count <= self.manycore_bodies
 
     def divide(self, task: NBodyTask) -> List[NBodyTask]:
         mid = (task.lo + task.hi) // 2

@@ -262,18 +262,13 @@ class RaytracerApp(CashmereApplication):
 
     def __init__(self, width: int = PAPER_WIDTH, height: int = PAPER_HEIGHT,
                  samples: int = PAPER_SAMPLES, leaf_rows: int = 64,
-                 manycore_rows: Optional[int] = None, seed: int = 1,
+                 seed: int = 1,
                  scene: Optional[Tuple[np.ndarray, np.ndarray]] = None,
                  real_execution: bool = False):
         self.width = width
         self.height = height
         self.samples = samples
         self.leaf_rows = leaf_rows
-        # Default: spawn at device-job granularity — every leaf remains
-        # individually stealable, which the tail of a strong-scaled run
-        # needs.  Pass a larger value to batch leaves per enableManyCore().
-        self.manycore_rows = manycore_rows if manycore_rows is not None \
-            else leaf_rows
         self.seed = seed
         self.spheres, self.material = scene if scene is not None \
             else cornell_scene()
@@ -292,9 +287,6 @@ class RaytracerApp(CashmereApplication):
 
     def is_leaf(self, task: RayTask) -> bool:
         return task.nrows <= self.leaf_rows
-
-    def is_manycore(self, task: RayTask) -> bool:
-        return task.nrows <= self.manycore_rows
 
     def divide(self, task: RayTask) -> List[RayTask]:
         half = task.nrows // 2

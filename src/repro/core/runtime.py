@@ -21,6 +21,7 @@ Cashmere extends the Satin runtime with (Sec. II-C, III-B):
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, Generator, Optional
 
@@ -35,6 +36,9 @@ from .scheduler import DeviceScheduler
 __all__ = ["CashmereConfig", "CashmereRuntime", "KernelLaunchError",
            "KernelVerificationError"]
 
+#: size of the master's runtime-information broadcast
+RUNTIME_INFO_BYTES = 4096.0
+
 
 class KernelLaunchError(RuntimeError):
     """A device kernel launch failed (triggers the CPU fallback)."""
@@ -44,6 +48,7 @@ class KernelVerificationError(RuntimeError):
     """The kernel library failed static verification (verify_kernels=True)."""
 
 
+@dataclass
 class CashmereConfig(RuntimeConfig):
     """Cashmere defaults differ from Satin's.
 
@@ -51,38 +56,23 @@ class CashmereConfig(RuntimeConfig):
     concurrent jobs than Satin's 8 (Sec. V-B).  Four node-level workers keep
     the PCIe bus busy and give the intra-node scheduler a deep enough queue
     to feed a slower second device (the K20 + Xeon Phi nodes of Fig. 16).
-
-    The deliberate deviations from ``RuntimeConfig`` override its named
-    ``DEFAULT_*`` class constants, so the relationship between the two
-    configs is explicit rather than two literals that could silently drift.
+    The two overridden fields and the two added ones are ordinary dataclass
+    fields, so ``==``, ``repr`` and :func:`dataclasses.replace` see them.
     """
 
     #: one leaf fills a device; 4 workers keep PCIe and both devices fed
-    DEFAULT_WORKERS_PER_NODE = 4
+    workers_per_node: int = 4
     #: Cashmere runs are short (device leaves); a tight steal-backoff cap
     #: keeps iteration starts responsive at negligible event cost.
-    DEFAULT_STEAL_BACKOFF_MAX_S = 0.02
-
-    def __init__(self, workers_per_node: Optional[int] = None,
-                 runtime_info_bytes: float = 4096.0,
-                 scheduler_policy: str = "makespan",
-                 out_of_core: bool = False,
-                 **kwargs: Any):
-        if workers_per_node is None:
-            workers_per_node = self.DEFAULT_WORKERS_PER_NODE
-        kwargs.setdefault("steal_backoff_max_s",
-                          self.DEFAULT_STEAL_BACKOFF_MAX_S)
-        super().__init__(workers_per_node=workers_per_node, **kwargs)
-        #: size of the master's runtime-information broadcast
-        self.runtime_info_bytes = runtime_info_bytes
-        #: intra-node device placement policy (see DeviceScheduler)
-        self.scheduler_policy = scheduler_policy
-        #: stream launches (leaves and explicit ``MCL.launch``) whose working
-        #: set exceeds device memory in chunks (the paper's future work,
-        #: Sec. VI: "Glasswing supports out-of-core data which Cashmere does
-        #: not support yet").  Off by default, in which case oversized
-        #: launches raise MemoryError and leaves fall back to the CPU (Fig. 4).
-        self.out_of_core = out_of_core
+    steal_backoff_max_s: float = 0.02
+    #: intra-node device placement policy (see DeviceScheduler)
+    scheduler_policy: str = "makespan"
+    #: stream launches (leaves and explicit ``MCL.launch``) whose working
+    #: set exceeds device memory in chunks (the paper's future work,
+    #: Sec. VI: "Glasswing supports out-of-core data which Cashmere does
+    #: not support yet").  Off by default, in which case oversized
+    #: launches raise MemoryError and leaves fall back to the CPU (Fig. 4).
+    out_of_core: bool = False
 
 
 class CashmereRuntime(SatinRuntime):
@@ -128,7 +118,7 @@ class CashmereRuntime(SatinRuntime):
     def _initialize(self) -> Generator:
         """Master broadcast + per-node kernel compilation."""
         yield from self.comm.channel(0).broadcast(
-            RuntimeInfo(), nbytes=self.config.runtime_info_bytes)
+            RuntimeInfo(), nbytes=RUNTIME_INFO_BYTES)
         for node in self.cluster.nodes:
             per_node = self._node_kernels.setdefault(node.rank, {})
             for name in self.library.kernel_names():

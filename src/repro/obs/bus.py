@@ -52,11 +52,6 @@ POINT_KINDS = frozenset({
     "crash",           # fault injection took a node down
     "orphan_requeue",  # a dead thief's job was re-queued at its origin
     "sched_decision",  # the intra-node device scheduler placed a job
-    # sweep-engine cell lifecycle (wall-clock-stamped: the sweep runs
-    # *outside* any simulation, its bus uses a host clock)
-    "sweep_cell_run",     # a cell was executed by a worker
-    "sweep_cell_cache",   # a cell was served from the result cache
-    "sweep_cell_failed",  # a cell failed after all retries
     # happens-before race sanitizer (repro.analyze.races; only emitted
     # when the runtime carries a detector, i.e. detect_races=True)
     "hb_spawn",        # vector-clock fork: parent spawned a child job

@@ -17,7 +17,7 @@ import pathlib
 from typing import Any, Dict, Optional, Tuple
 
 from ..cluster.das4 import ClusterConfig
-from .export import chrome_trace, metrics_summary, write_chrome_trace
+from .export import metrics_summary, write_chrome_trace
 
 __all__ = ["TRACE_APPS", "demo_cluster", "run_traced_app", "trace_main"]
 
@@ -90,8 +90,7 @@ def trace_main(app_name: str, out: pathlib.Path, seed: int = 42,
     bus = cluster.obs
 
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_chrome_trace(out, bus)
-    trace = chrome_trace(bus)
+    trace = write_chrome_trace(out, bus)
     n_tracks = len({(e["pid"], e["tid"]) for e in trace["traceEvents"]
                     if e.get("ph") != "M"})
     print(f"wrote {out} ({len(trace['traceEvents'])} trace events, "

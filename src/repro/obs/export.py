@@ -136,12 +136,13 @@ def chrome_trace(source: Any) -> Dict[str, Any]:
     }
 
 
-def write_chrome_trace(path: Any, source: Any) -> str:
-    """Write the Chrome-trace JSON for a bus/event stream; returns the path."""
+def write_chrome_trace(path: Any, source: Any) -> Dict[str, Any]:
+    """Write the Chrome-trace JSON for a bus/event stream; returns the
+    trace dict it wrote."""
     doc = chrome_trace(source)
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-    return str(path)
+    return doc
 
 
 # ---------------------------------------------------------------------------

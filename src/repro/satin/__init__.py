@@ -8,7 +8,7 @@ The runtime is layered (see ``docs/architecture.md``):
 
 * :mod:`repro.satin.comm` — typed message protocol over the simulated
   network (request/reply pairing, timeouts, dispatch),
-* :mod:`repro.satin.steal` — pluggable victim-selection + backoff policies,
+* :mod:`repro.satin.steal` — pluggable victim-selection policies,
 * :mod:`repro.satin.ft` — crash detection and orphan re-execution,
 * :mod:`repro.satin.runtime` — the orchestration layer tying them together.
 """

@@ -33,6 +33,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (cycle with runtime)
 
 __all__ = ["FaultTolerance"]
 
+#: crash-detection latency of the membership service
+MEMBERSHIP_NOTIFY_S = 1e-3
+
 
 class FaultTolerance:
     """Crash detection and orphan re-execution for one runtime."""
@@ -120,7 +123,7 @@ class FaultTolerance:
     def requeue_orphans(self, dead_rank: int) -> Generator:
         """Process: re-queue the dead node's orphans at their origins."""
         rt = self.runtime
-        yield self.env.timeout(rt.config.membership_notify_s)
+        yield self.env.timeout(MEMBERSHIP_NOTIFY_S)
         for job_id, job in list(self.stolen_out.items()):
             if job.thief_rank == dead_rank and not job.done.triggered:
                 del self.stolen_out[job_id]

@@ -22,7 +22,7 @@ its own module:
 
 * :mod:`repro.satin.comm` — the typed message protocol (steal
   request/reply pairing, reply timeouts, dispatch),
-* :mod:`repro.satin.steal` — pluggable victim-selection + backoff policies,
+* :mod:`repro.satin.steal` — pluggable victim-selection policies,
 * :mod:`repro.satin.ft` — crash detection and the orphan table,
 * :mod:`repro.satin.stats` — counters, projected over the metrics registry.
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..analyze.races import RaceDetector
 from ..cluster.das4 import SimCluster
@@ -59,33 +59,30 @@ from .steal import StealPolicy, create_steal_policy
 
 __all__ = ["RuntimeConfig", "RunStats", "RunResult", "SatinRuntime"]
 
+# Protocol costs of the Java/Ibis stack.
+SPAWN_OVERHEAD_S = 20e-6          #: CPU cost of creating one job
+STEAL_HANDLE_OVERHEAD_S = 15e-6   #: CPU cost of serving a steal request
+RESULT_HANDLE_OVERHEAD_S = 10e-6  #: CPU cost of absorbing a result
+#: header bytes of every steal request, steal reply and result return
+CONTROL_MESSAGE_BYTES = 64.0
+#: first idle wait after a fully failed steal round; each further failed
+#: wait doubles it, up to ``RuntimeConfig.steal_backoff_max_s``
+STEAL_BACKOFF_S = 100e-6
+
 
 @dataclass
 class RuntimeConfig:
-    """Tunable constants of the runtime (defaults model the Java/Ibis stack).
+    """Settings of one runtime (defaults model the Java/Ibis stack).
 
-    The class-level ``DEFAULT_*`` constants are the single source of truth
-    for values that subclasses (``CashmereConfig``) deliberately override —
-    naming them keeps the two configs from silently drifting apart.
+    ``CashmereConfig`` overrides ``workers_per_node`` and
+    ``steal_backoff_max_s``: the two values Satin and Cashmere need to
+    differ.
     """
 
-    #: Satin needs 8 jobs to fill a node (Sec. V-B); Cashmere needs 4
-    #: (one per device queue) — each config names its own constant.
-    DEFAULT_WORKERS_PER_NODE: ClassVar[int] = 8
-    #: initial idle wait after a fully failed steal round
-    DEFAULT_STEAL_BACKOFF_S: ClassVar[float] = 100e-6
-    #: exponential backoff cap; Cashmere uses a tighter cap (its four
-    #: workers must refill device queues promptly)
-    DEFAULT_STEAL_BACKOFF_MAX_S: ClassVar[float] = 0.1
-
-    workers_per_node: int = DEFAULT_WORKERS_PER_NODE
-    spawn_overhead_s: float = 20e-6    #: CPU cost of creating one job
-    steal_handle_overhead_s: float = 15e-6   #: CPU cost of serving a steal request
-    result_handle_overhead_s: float = 10e-6  #: CPU cost of absorbing a result
-    steal_backoff_s: float = DEFAULT_STEAL_BACKOFF_S
-    steal_backoff_max_s: float = DEFAULT_STEAL_BACKOFF_MAX_S
-    control_message_bytes: float = 64.0
-    membership_notify_s: float = 1e-3  #: crash-detection latency
+    #: Satin needs 8 jobs to fill a node (Sec. V-B)
+    workers_per_node: int = 8
+    #: cap of the exponential idle backoff after failed steal rounds
+    steal_backoff_max_s: float = 0.1
     seed: int = 42
     #: victim-selection policy (registry kind ``"steal"``): ``random`` is
     #: the paper's uniform sweep; ``cluster-aware`` and ``adaptive`` are
@@ -163,7 +160,7 @@ class SatinRuntime:
             self.env,
             reply_timeout_s=self.config.steal_reply_timeout_s,
             reply_retries=self.config.steal_reply_retries)
-        #: victim-selection + backoff policy (registry kind ``"steal"``)
+        #: victim-selection policy (registry kind ``"steal"``)
         self.steal_policy: StealPolicy = create_steal_policy(
             self.config.steal_policy)
         self.steal_policy.bind(self.obs)
@@ -363,13 +360,12 @@ class SatinRuntime:
     def _worker(self, node: ComputeNode, index: int) -> Generator:
         """One worker: pop local work, else steal from a policy-chosen victim.
 
-        Failed steals back off (schedule owned by the steal policy; capped
-        exponential by default) and the idle wait is interrupted as soon as
-        local work appears, so idle workers stay cheap in simulation events
-        even across hours of virtual time.
+        Failed steals back off (capped exponential: ``STEAL_BACKOFF_S``,
+        doubling up to ``config.steal_backoff_max_s``) and the idle wait is
+        interrupted as soon as local work appears, so idle workers stay
+        cheap in simulation events even across hours of virtual time.
         """
-        policy = self.steal_policy
-        backoff = policy.initial_backoff(self.config)
+        backoff = STEAL_BACKOFF_S
         deque = self.deques[node.rank]
         try:
             while not self._shutdown:
@@ -377,7 +373,7 @@ class SatinRuntime:
                 if job is None and len(self.cluster.alive_nodes()) > 1:
                     job = yield from self._try_steal(node)
                 if job is not None:
-                    backoff = policy.initial_backoff(self.config)
+                    backoff = STEAL_BACKOFF_S
                     yield from self._execute_job(node, job)
                     continue
                 # Sleep until the backoff expires or local work arrives.
@@ -388,11 +384,12 @@ class SatinRuntime:
                 timer = Timeout(self.env, backoff)
                 yield first_of(self.env, wait_ev, timer)
                 if wait_ev.triggered:
-                    backoff = policy.initial_backoff(self.config)
+                    backoff = STEAL_BACKOFF_S
                     yield from self._execute_job(node, wait_ev.value)
                 else:
                     deque.cancel_wait(wait_ev)
-                    backoff = policy.next_backoff(backoff, self.config)
+                    backoff = min(backoff * 2.0,
+                                  self.config.steal_backoff_max_s)
         except Interrupt:
             return  # node crashed
 
@@ -402,14 +399,14 @@ class SatinRuntime:
     def _serve_steal(self, node: ComputeNode, msg: StealRequest) -> None:
         """Charge the steal-handling overhead on a core, then reply."""
         node.cpu_delay_async(
-            self.config.steal_handle_overhead_s, "steal-serve",
+            STEAL_HANDLE_OVERHEAD_S, "steal-serve",
             lambda: self._finish_serve_steal(node, msg))
 
     def _finish_serve_steal(self, node: ComputeNode,
                             msg: StealRequest) -> None:
         # The reply claims the NIC inline, at the moment the overhead ends.
         job = self.deques[node.rank].steal()
-        nbytes = self.config.control_message_bytes
+        nbytes = CONTROL_MESSAGE_BYTES
         if job is not None:
             job.thief_rank = msg.thief
             self.ft.record_stolen(job)
@@ -439,7 +436,7 @@ class SatinRuntime:
     def _absorb_result(self, node: ComputeNode, msg: ResultReturn) -> None:
         """Charge the result-handling overhead on a core, then absorb."""
         node.cpu_delay_async(
-            self.config.result_handle_overhead_s, "result-recv",
+            RESULT_HANDLE_OVERHEAD_S, "result-recv",
             lambda: self._finish_absorb(node, msg))
 
     def _finish_absorb(self, node: ComputeNode, msg: ResultReturn) -> None:
@@ -529,7 +526,7 @@ class SatinRuntime:
 
             job = yield from channel.request(
                 victim, build,
-                nbytes=self.config.control_message_bytes,
+                nbytes=CONTROL_MESSAGE_BYTES,
                 on_attempt=on_attempt)
             hit = job is not None
             self.steal_policy.observe(rank, victim, hit)
@@ -562,7 +559,7 @@ class SatinRuntime:
             self.comm.channel(node.rank).post(
                 job.origin_rank,
                 ResultReturn(job_id=job.id, result=result),
-                nbytes=self.config.control_message_bytes
+                nbytes=CONTROL_MESSAGE_BYTES
                 + self.app.result_bytes(job.task))
 
     def _run_task(self, node: ComputeNode, task: Any, depth: int,
@@ -593,7 +590,7 @@ class SatinRuntime:
             count_spawn = self.stats.count_spawn
             detector = self.race_detector
             for child in children:
-                yield from node.cpu_delay(self.config.spawn_overhead_s,
+                yield from node.cpu_delay(SPAWN_OVERHEAD_S,
                                           label="spawn")
                 job = Job(task=child, origin_rank=rank, depth=depth + 1,
                           manycore=False, done=self.env.event(),
@@ -703,8 +700,7 @@ class SatinRuntime:
         sync (or an idle worker) picks it up.  Failed rounds back off so
         idle periods stay cheap in simulation events.
         """
-        policy = self.steal_policy
-        backoff = policy.initial_backoff(self.config)
+        backoff = STEAL_BACKOFF_S
         try:
             while not self._shutdown and not node.crashed:
                 job = yield from self._try_steal(node)
@@ -714,7 +710,7 @@ class SatinRuntime:
                 if len(self.deques[node.rank]) > 0:
                     return  # local work appeared; no need to keep stealing
                 yield self.env.timeout(backoff)
-                backoff = policy.next_backoff(backoff, self.config)
+                backoff = min(backoff * 2.0, self.config.steal_backoff_max_s)
         except Interrupt:
             return
         finally:

@@ -1,13 +1,14 @@
-"""Pluggable cluster-level steal policies (victim selection + backoff).
+"""Pluggable cluster-level steal policies (victim selection).
 
 Satin's load balancing is *random work-stealing* (Sec. II-A): an idle
 worker polls uniformly random victims until one hands over a job, and a
-fully failed round backs off exponentially.  This module turns that rule
-into a pluggable :class:`StealPolicy` — registered in the unified policy
-registry of :mod:`repro.core.policy` under kind ``"steal"``, selectable via
-``RuntimeConfig(steal_policy=...)`` and ``python -m repro run
---steal-policy ...`` — so alternative victim-selection strategies can be
-benchmarked against the paper's baseline without touching the runtime.
+fully failed round backs off exponentially.  This module turns the victim
+choice into a pluggable :class:`StealPolicy` — registered in the unified
+policy registry of :mod:`repro.core.policy` under kind ``"steal"``,
+selectable via ``RuntimeConfig(steal_policy=...)`` and ``python -m repro
+run --steal-policy ...`` — so alternative victim-selection strategies can
+be benchmarked against the paper's baseline without touching the runtime.
+The backoff schedule belongs to the runtime.
 
 Three policies ship:
 
@@ -32,7 +33,7 @@ choices replayable from the event log exactly like device placements.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Protocol, Sequence
+from typing import Dict, List, Sequence
 
 from ..core.policy import SchedulingPolicy, create_policy, policy_names, register_policy
 
@@ -46,21 +47,14 @@ __all__ = [
 ]
 
 
-class _BackoffConfig(Protocol):
-    """The slice of ``RuntimeConfig`` the backoff schedule reads."""
-
-    steal_backoff_s: float
-    steal_backoff_max_s: float
-
-
 class StealPolicy(SchedulingPolicy):
-    """Victim selection plus backoff schedule for one runtime.
+    """Victim selection for one runtime.
 
     ``victim_order`` returns the ranks a steal round should poll, in
     order; the runtime sends one request at a time and stops at the first
     hit (Satin's sweep).  ``observe`` feeds the outcome of each poll back
-    to the policy.  The backoff hooks define the idle-wait schedule after
-    fully failed rounds; the default is Satin's capped exponential.
+    to the policy.  The idle wait after fully failed rounds is the
+    runtime's capped exponential backoff, the same under every policy.
     """
 
     kind = "steal"
@@ -72,13 +66,6 @@ class StealPolicy(SchedulingPolicy):
 
     def observe(self, thief: int, victim: int, hit: bool) -> None:
         """Outcome feedback: one poll of ``victim`` found work or not."""
-
-    # -- backoff schedule ----------------------------------------------------
-    def initial_backoff(self, config: _BackoffConfig) -> float:
-        return config.steal_backoff_s
-
-    def next_backoff(self, current: float, config: _BackoffConfig) -> float:
-        return min(current * 2.0, config.steal_backoff_max_s)
 
 
 @register_policy

@@ -34,6 +34,9 @@ from .service import JobService
 
 __all__ = ["JobExecution", "run_admitted_sync"]
 
+#: engine events per cooperative simulation slice
+SLICE_EVENTS = 200
+
 
 class JobExecution:
     """One admitted job's simulation, advanced slice by slice."""
@@ -74,7 +77,7 @@ class JobExecution:
             return False
         env = self.cluster.env
         root = self._root_proc
-        budget = max(1, self.service.config.slice_events)
+        budget = SLICE_EVENTS
         try:
             while budget > 0 and not root.triggered:
                 if env.peek() == float("inf"):

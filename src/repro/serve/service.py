@@ -51,10 +51,6 @@ class ServeConfig:
     max_queue_depth: int = 4096
     #: session seed; per-job seeds derive from it deterministically
     seed: int = 42
-    #: engine events per cooperative simulation slice (executor granularity)
-    slice_events: int = 200
-    #: check closed-form expected results where the catalog has one
-    validate_results: bool = True
     #: tenants to create at startup
     tenants: List[TenantConfig] = field(default_factory=list)
 
@@ -245,8 +241,7 @@ class JobService:
             job.error = error
             tenant.failed += 1
         else:
-            if (self.config.validate_results
-                    and (expect := expected_result(job.spec)) is not None
+            if ((expect := expected_result(job.spec)) is not None
                     and result != expect):
                 job.state = JobState.FAILED
                 job.error = (f"result-mismatch: got {result!r}, "

@@ -488,42 +488,23 @@ class Environment:
         that virtual time), or an :class:`Event` (run until it is processed,
         returning its value).
 
-        The two unbounded forms inline :meth:`step` — paper-scale runs
-        process tens of millions of events, so one method call plus
-        re-resolved attribute lookups per event is measurable wall-clock.
-        The semantics (FIFO order at equal time, failure propagation) are
-        exactly :meth:`step`'s.
+        The event form, which every runtime drives, inlines :meth:`step` —
+        paper-scale runs process tens of millions of events, so one method
+        call plus re-resolved attribute lookups per event is measurable
+        wall-clock.  Its semantics (FIFO order at equal time, failure
+        propagation) are exactly :meth:`step`'s, which the other two forms
+        call.
         """
         queue = self._queue
-        pop = heapq.heappop
-        pool = self._cb_pool
-        pool_max = self._CB_POOL_MAX
-        steps = 0
         if until is None:
-            try:
-                while queue:
-                    when, _prio, _seq, event = pop(queue)
-                    self._now = when
-                    steps += 1
-                    callbacks, event.callbacks = event.callbacks, None
-                    if len(callbacks) == 1:
-                        cb = callbacks[0]
-                        callbacks.clear()
-                        if len(pool) < pool_max:
-                            pool.append(callbacks)
-                        cb(event)
-                    else:
-                        for cb in callbacks:
-                            cb(event)
-                        callbacks.clear()
-                        if len(pool) < pool_max:
-                            pool.append(callbacks)
-                    if not event._ok and not event._defused:
-                        raise event._value
-            finally:
-                self.events_processed += steps
+            while queue:
+                self.step()
             return None
         if isinstance(until, Event):
+            pop = heapq.heappop
+            pool = self._cb_pool
+            pool_max = self._CB_POOL_MAX
+            steps = 0
             target = until
             try:
                 while target.callbacks is not None:  # i.e. not yet processed
@@ -558,30 +539,9 @@ class Environment:
         stop_at = float(until)
         if stop_at < self._now:
             raise SimulationError("cannot run into the past")
-        # Inlined like the two forms above (this branch used to dispatch
-        # through self.step() per event).  Events scheduled *exactly at*
-        # ``stop_at`` are processed; the clock then lands on ``stop_at``.
-        try:
-            while queue and queue[0][0] <= stop_at:
-                when, _prio, _seq, event = pop(queue)
-                self._now = when
-                steps += 1
-                callbacks, event.callbacks = event.callbacks, None
-                if len(callbacks) == 1:
-                    cb = callbacks[0]
-                    callbacks.clear()
-                    if len(pool) < pool_max:
-                        pool.append(callbacks)
-                    cb(event)
-                else:
-                    for cb in callbacks:
-                        cb(event)
-                    callbacks.clear()
-                    if len(pool) < pool_max:
-                        pool.append(callbacks)
-                if not event._ok and not event._defused:
-                    raise event._value
-        finally:
-            self.events_processed += steps
+        # Events scheduled *exactly at* ``stop_at`` are processed; the
+        # clock then lands on ``stop_at``.
+        while queue and queue[0][0] <= stop_at:
+            self.step()
         self._now = stop_at
         return None

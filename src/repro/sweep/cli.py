@@ -47,8 +47,6 @@ def sweep_main(experiments: List[str], *, jobs: int = 1,
     """Entry point behind the ``sweep`` subcommand; returns an exit code."""
     from ..experiments import experiment_runner, list_experiments
     from ..experiments.artifacts import accepted_kwargs, save_artifacts
-    from ..obs.bus import EventBus
-    from ..obs.metrics import MetricsRegistry
 
     if force and no_cache:
         print("--force is meaningless with --no-cache", file=sys.stderr)
@@ -68,11 +66,8 @@ def sweep_main(experiments: List[str], *, jobs: int = 1,
     if not no_cache:
         cache = SweepCache(cache_dir if cache_dir is not None
                            else default_cache_dir())
-    bus = EventBus(clock=time.perf_counter, enabled=True)
-    metrics = MetricsRegistry()
     session = SweepSession(jobs=jobs, cache=cache, force=force,
-                           retries=retries, progress=_progress, bus=bus,
-                           metrics=metrics)
+                           retries=retries, progress=_progress)
 
     entries = []
     exit_code = 0

@@ -17,10 +17,8 @@ and returns a :class:`SweepReport`.  The pipeline per unique cell:
 4. **retry** — failed cells are re-submitted up to ``retries`` extra
    times before being reported as failed.
 
-Progress is observable two ways: an optional per-cell callback (the CLI's
-progress lines) and an optional :class:`repro.obs.bus.EventBus` +
-:class:`repro.obs.metrics.MetricsRegistry` pair receiving structured
-``sweep_cell_*`` events and counters.
+Progress is observable through an optional per-cell callback (the CLI's
+progress lines).
 """
 
 from __future__ import annotations
@@ -147,14 +145,13 @@ def _run_batch(batch: List[Tuple[int, RunSpec]], jobs: int
 def run_cells(cells: Sequence[RunSpec], *, jobs: int = 1,
               cache: Optional[SweepCache] = None, force: bool = False,
               retries: int = 1,
-              progress: Optional[Callable[[CellOutcome, int, int], None]] = None,
-              bus: Any = None, metrics: Any = None) -> SweepReport:
+              progress: Optional[Callable[[CellOutcome, int, int], None]] = None
+              ) -> SweepReport:
     """Execute a cell grid; see the module docstring for the pipeline.
 
     ``force=True`` skips cache probes (but still writes fresh results).
     ``progress(outcome, done, total)`` fires once per unique cell as it
-    resolves.  ``bus``/``metrics`` receive structured telemetry when
-    given.
+    resolves.
     """
     # analyze: ignore[REP102] measures the sweep's own host wall-clock
     # (reported as wall_s); the simulations inside use virtual time
@@ -177,15 +174,6 @@ def run_cells(cells: Sequence[RunSpec], *, jobs: int = 1,
     def _resolved(outcome: CellOutcome) -> None:
         nonlocal done
         done += 1
-        if metrics is not None:
-            metrics.counter("sweep_cells_total",
-                            "sweep cells, by outcome source").child(
-                                source=outcome.source)()
-        if bus is not None and bus.enabled:
-            bus.emit(f"sweep_cell_{outcome.source}",
-                     label=outcome.spec.display(), key=outcome.key,
-                     wall_s=outcome.wall_s, attempts=outcome.attempts,
-                     error=outcome.error)
         if progress is not None:
             progress(outcome, done, total)
 
@@ -255,15 +243,12 @@ class SweepSession:
     force: bool = False
     retries: int = 1
     progress: Optional[Callable[[CellOutcome, int, int], None]] = None
-    bus: Any = None
-    metrics: Any = None
     reports: List[SweepReport] = field(default_factory=list)
 
     def run(self, cells: Sequence[RunSpec]) -> SweepReport:
         report = run_cells(
             cells, jobs=self.jobs, cache=self.cache, force=self.force,
-            retries=self.retries, progress=self.progress, bus=self.bus,
-            metrics=self.metrics)
+            retries=self.retries, progress=self.progress)
         self.reports.append(report)
         return report
 

@@ -12,13 +12,13 @@ import textwrap
 import pytest
 
 from repro.analyze import (
-    AnalyzerConfig,
     Baseline,
     Finding,
     analyze_file,
     analyze_source,
     analyze_tree,
 )
+from repro.analyze.static import environ_is_hot, wallclock_allowed
 
 
 def _codes(source: str, module=None):
@@ -388,11 +388,10 @@ def test_seeded_graph_builder_fixture_clean():
 
 
 def test_config_whitelists_are_globs():
-    config = AnalyzerConfig()
-    assert config.wallclock_allowed("repro.sweep.cli")
-    assert config.wallclock_allowed("repro.obs.bench")
-    assert not config.wallclock_allowed("repro.sim.engine")
-    assert not config.wallclock_allowed(None)
-    assert config.environ_is_hot("repro.satin.runtime")
-    assert config.environ_is_hot(None)
-    assert not config.environ_is_hot("repro.sweep.cache")
+    assert wallclock_allowed("repro.sweep.cli")
+    assert wallclock_allowed("repro.obs.bench")
+    assert not wallclock_allowed("repro.sim.engine")
+    assert not wallclock_allowed(None)
+    assert environ_is_hot("repro.satin.runtime")
+    assert environ_is_hot(None)
+    assert not environ_is_hot("repro.sweep.cache")

@@ -1,12 +1,14 @@
 """Tests for the Cashmere runtime: device leaves, many-core mode, overlap."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import ClusterConfig, SimCluster, gtx480_cluster
 from repro.core import Cashmere, CashmereConfig, CashmereRuntime, MCL
 from repro.mcl import KernelLibrary
 from repro.obs import Intervals
-from repro.satin import DivideConquerApp
+from repro.satin import DivideConquerApp, RuntimeConfig
 
 SCALE_KERNEL = """
 perfect void scale(int n, float[n] a) {
@@ -327,3 +329,16 @@ def test_out_of_core_chunks_pipeline_transfers_with_kernels():
     overlapped = any(k.start < h.end and h.start < k.end
                      for k in kernels for h in h2ds)
     assert overlapped
+
+
+def test_cashmere_config_is_a_value():
+    assert CashmereConfig(scheduler_policy="static") != CashmereConfig()
+    text = repr(CashmereConfig())
+    assert "scheduler_policy=" in text and "out_of_core=" in text
+    cfg = dataclasses.replace(
+        CashmereConfig(scheduler_policy="static", out_of_core=True), seed=3)
+    assert (cfg.scheduler_policy, cfg.out_of_core, cfg.seed) == \
+        ("static", True, 3)
+    assert (cfg.workers_per_node, cfg.steal_backoff_max_s) == (4, 0.02)
+    base = RuntimeConfig()
+    assert (base.workers_per_node, base.steal_backoff_max_s) == (8, 0.1)

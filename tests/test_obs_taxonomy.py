@@ -23,9 +23,6 @@ DOC = ROOT / "docs" / "observability.md"
 
 #: emitters with a computed kind -> every kind they can emit
 DYNAMIC_EMITTERS: Dict[str, Set[str]] = {
-    # bus.emit(f"sweep_cell_{outcome.source}", ...)
-    "sweep/engine.py": {"sweep_cell_run", "sweep_cell_cache",
-                        "sweep_cell_failed"},
     # RaceDetector._emit(kind, ...) -> obs.emit(kind, ...)
     "analyze/races.py": {"hb_spawn", "hb_sync", "hb_guard",
                          "shared_access", "race"},
