@@ -53,9 +53,6 @@ class CFGNode:
     """One CFG node: an atomic statement or a branch/loop condition."""
 
     index: int
-    kind: str                       #: 'entry' | 'exit' | 'stmt' | 'cond'
-    stmt: Optional[ast.Stmt] = None
-    expr: Optional[ast.Expr] = None  #: condition expression for 'cond' nodes
     line: int = 0
     succs: List[int] = field(default_factory=list)
     preds: List[int] = field(default_factory=list)
@@ -72,14 +69,12 @@ class CFG:
         self.info = info
         self.nodes: List[CFGNode] = []
         self.definitions: List[Definition] = []
-        self.entry = self._new_node("entry")
-        self.exit = self._new_node("exit")
+        self.entry = self._new_node()
+        self.exit = self._new_node()
 
     # -- construction helpers ----------------------------------------------
-    def _new_node(self, kind: str, stmt: Optional[ast.Stmt] = None,
-                  expr: Optional[ast.Expr] = None, line: int = 0) -> int:
-        node = CFGNode(index=len(self.nodes), kind=kind, stmt=stmt,
-                       expr=expr, line=line)
+    def _new_node(self, line: int = 0) -> int:
+        node = CFGNode(index=len(self.nodes), line=line)
         self.nodes.append(node)
         return node.index
 
@@ -135,7 +130,7 @@ class _Builder:
                 cur = self._stmt(s, cur)
             return cur
         if isinstance(stmt, ast.VarDecl):
-            node = cfg._new_node("stmt", stmt=stmt, line=stmt.line)
+            node = cfg._new_node(stmt.line)
             cfg._edge(pred, node)
             assert stmt.type is not None
             for dim in stmt.type.dims:
@@ -148,7 +143,7 @@ class _Builder:
                              stmt.init is not None, stmt)
             return node
         if isinstance(stmt, ast.Assign):
-            node = cfg._new_node("stmt", stmt=stmt, line=stmt.line)
+            node = cfg._new_node(stmt.line)
             cfg._edge(pred, node)
             uses = cfg.nodes[node].uses
             _scalar_uses(stmt.value, cfg, uses)
@@ -164,12 +159,12 @@ class _Builder:
                     _scalar_uses(i, cfg, uses)
             return node
         if isinstance(stmt, ast.ExprStmt):
-            node = cfg._new_node("stmt", stmt=stmt, line=stmt.line)
+            node = cfg._new_node(stmt.line)
             cfg._edge(pred, node)
             _scalar_uses(stmt.expr, cfg, cfg.nodes[node].uses)
             return node
         if isinstance(stmt, ast.Return):
-            node = cfg._new_node("stmt", stmt=stmt, line=stmt.line)
+            node = cfg._new_node(stmt.line)
             cfg._edge(pred, node)
             _scalar_uses(stmt.value, cfg, cfg.nodes[node].uses)
             cfg._edge(node, cfg.exit)
@@ -183,11 +178,10 @@ class _Builder:
                 cfg._edge(pred, self.loop_stack[-1][1])
             return None
         if isinstance(stmt, ast.If):
-            cond = cfg._new_node("cond", stmt=stmt, expr=stmt.cond,
-                                 line=stmt.line)
+            cond = cfg._new_node(stmt.line)
             cfg._edge(pred, cond)
             _scalar_uses(stmt.cond, cfg, cfg.nodes[cond].uses)
-            join = cfg._new_node("stmt", line=stmt.line)  # empty join node
+            join = cfg._new_node(stmt.line)  # empty join node
             assert stmt.then is not None
             then_tail = self._stmt(stmt.then, cond)
             if then_tail is not None:
@@ -200,11 +194,10 @@ class _Builder:
                 cfg._edge(cond, join)
             return join if cfg.nodes[join].preds else None
         if isinstance(stmt, ast.While):
-            cond = cfg._new_node("cond", stmt=stmt, expr=stmt.cond,
-                                 line=stmt.line)
+            cond = cfg._new_node(stmt.line)
             cfg._edge(pred, cond)
             _scalar_uses(stmt.cond, cfg, cfg.nodes[cond].uses)
-            after = cfg._new_node("stmt", line=stmt.line)
+            after = cfg._new_node(stmt.line)
             cfg._edge(cond, after)
             self.loop_stack.append((after, cond))
             assert stmt.body is not None
@@ -217,15 +210,14 @@ class _Builder:
             init_tail = pred
             if stmt.init is not None:
                 init_tail = self._stmt(stmt.init, pred)
-            cond = cfg._new_node("cond", stmt=stmt, expr=stmt.cond,
-                                 line=stmt.line)
+            cond = cfg._new_node(stmt.line)
             if init_tail is not None:
                 cfg._edge(init_tail, cond)
             _scalar_uses(stmt.cond, cfg, cfg.nodes[cond].uses)
-            after = cfg._new_node("stmt", line=stmt.line)
+            after = cfg._new_node(stmt.line)
             cfg._edge(cond, after)
             # continue jumps to the step, which loops back to the condition.
-            step_entry = cfg._new_node("stmt", line=stmt.line)  # pre-step join
+            step_entry = cfg._new_node(stmt.line)  # pre-step join
             self.loop_stack.append((after, step_entry))
             assert stmt.body is not None
             body_tail = self._stmt(stmt.body, cond)
@@ -239,12 +231,11 @@ class _Builder:
                     cfg._edge(step_tail, cond)
             return after
         if isinstance(stmt, ast.Foreach):
-            header = cfg._new_node("cond", stmt=stmt, expr=stmt.count,
-                                   line=stmt.line)
+            header = cfg._new_node(stmt.line)
             cfg._edge(pred, header)
             _scalar_uses(stmt.count, cfg, cfg.nodes[header].uses)
             cfg._add_def(header, stmt.var, stmt.line, "loop", True, stmt)
-            after = cfg._new_node("stmt", line=stmt.line)
+            after = cfg._new_node(stmt.line)
             cfg._edge(header, after)
             self.loop_stack.append((after, header))
             assert stmt.body is not None
@@ -305,16 +296,14 @@ def reaching_definitions(cfg: CFG) -> List[Set[int]]:
     return in_sets
 
 
-def def_use_chains(cfg: CFG,
-                   in_sets: Optional[List[Set[int]]] = None
+def def_use_chains(cfg: CFG, in_sets: List[Set[int]]
                    ) -> Dict[int, List[Tuple[int, str]]]:
     """Map each definition id to its uses ``(node index, variable)``.
 
     A node "uses" a definition ``d`` of variable ``v`` when it reads ``v``
-    and ``d`` reaches the node's entry.
+    and ``d`` reaches the node's entry (``in_sets`` from
+    :func:`reaching_definitions`).
     """
-    if in_sets is None:
-        in_sets = reaching_definitions(cfg)
     chains: Dict[int, List[Tuple[int, str]]] = {
         d.def_id: [] for d in cfg.definitions}
     by_id = {d.def_id: d for d in cfg.definitions}

@@ -10,9 +10,12 @@ subscripts against declared array dimensions like ``float[n,m]``.
 Because bounds are symbolic, an interval keeps a small *set* of candidate
 bounds (each individually valid); comparisons use the polynomial
 non-negativity test, and joins keep only candidates provably dominating the
-other side.  Loops are handled with a bounded fixpoint plus per-bound
-widening (a bound that keeps moving is dropped rather than the whole
-interval), so monotone loop counters keep their stable side.
+other side.  A loop body is interpreted pass after pass until joining a
+pass's exit state into its entry state changes no name bound at loop entry
+(from the third pass on, a bound that still moves is dropped), and only the
+accesses of that last pass are checked.  Dropping single bounds rather than
+whole intervals (per-bound widening) lets monotone loop counters keep their
+stable side.
 
 Guard refinement understands ``<, <=, >, >=, ==`` comparisons, conjunctions
 on the true branch and disjunctions on the false branch.  Guards whose
@@ -20,13 +23,14 @@ left-hand side is not a plain variable (``if (jj + x / 4 < n)``) are kept
 as *facts* keyed by the expression's polynomial normal form and matched
 against subscripts that differ from the guarded expression by a constant.
 
-The analysis also records every array access with the intervals of its
-subscripts — the input of the bounds lint — and the symbolic iteration
-ranges of all loops, which the race detector reuses.
+The analysis records every array access with the intervals of its
+subscripts — the input of the bounds lint.  The race detector does not read
+them: it derives its own constant loop ranges from the loop syntax.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -35,8 +39,7 @@ from ..mcpl import ast
 from ..mcpl.semantics import KernelInfo
 from .poly import Poly, expr_to_poly
 
-__all__ = ["Interval", "AccessRecord", "LoopRange", "IntervalAnalysis",
-           "analyze_intervals"]
+__all__ = ["Interval", "AccessRecord", "IntervalAnalysis", "analyze_intervals"]
 
 _MAX_CANDIDATES = 4
 
@@ -94,6 +97,8 @@ class Interval:
 
 def join(a: Interval, b: Interval) -> Interval:
     """Least-ish upper bound: keep candidates that dominate the other side."""
+    if a == b:
+        return a
     los = []
     for lo in a.los:
         if any(_provable_le(lo, lo2) for lo2 in b.los):
@@ -172,6 +177,37 @@ def _floordiv_hi(hi: Poly, divisor: Poly) -> Optional[Poly]:
     return None
 
 
+def _apply(op: str, left: Interval, right: Interval,
+           right_expr: ast.Expr) -> Interval:
+    """``left op right``; ``/`` and ``%`` bound by the divisor's polynomial."""
+    if op == "+":
+        return _add(left, right)
+    if op == "-":
+        return _add(left, _neg(right))
+    if op == "*":
+        return _mul(left, right)
+    if op in ("/", "%"):
+        div = expr_to_poly(right_expr)
+        positive = div.is_nonnegative() and not div.is_zero()
+        if op == "/":
+            his = [q for q in (_floordiv_hi(hi, div) for hi in left.his)
+                   if q is not None]
+            los: Tuple[Poly, ...] = \
+                (Poly.const(0),) if positive and left.nonneg() else ()
+            return Interval(los, tuple(his[:_MAX_CANDIDATES]))
+        if not left.nonneg():
+            return Interval.top()
+        if not positive:
+            return Interval((Poly.const(0),), ())
+        # also |x % d| <= x for non-negative x
+        return Interval((Poly.const(0),), (div - Poly.const(1),)
+                        + left.his[:_MAX_CANDIDATES - 1])
+    if op in ("==", "!=", "<", "<=", ">", ">=", "&&", "||"):
+        return Interval((Poly.const(0),), (Poly.const(1),))
+    # shifts / bit operations: conservative
+    return Interval.top()
+
+
 @dataclass
 class AccessRecord:
     """One array access with the symbolic state at its program point."""
@@ -187,29 +223,16 @@ class AccessRecord:
     facts: List[Tuple[Poly, Poly]] = field(default_factory=list)
 
 
-@dataclass
-class LoopRange:
-    """Symbolic iteration range of one foreach/for loop variable."""
-
-    var: str
-    stmt: ast.Stmt
-    interval: Interval
-    #: trip count as a constant, when statically known (foreach literals)
-    const_count: Optional[int] = None
-
-
 Env = Dict[str, Interval]
 Facts = List[Tuple[Poly, Poly]]
 
 
 class IntervalAnalysis:
-    """Structured abstract interpreter producing access/loop records."""
+    """Structured abstract interpreter producing access records."""
 
     def __init__(self, info: KernelInfo):
         self.info = info
-        self.record = True
         self.accesses: List[AccessRecord] = []
-        self.loop_ranges: Dict[int, LoopRange] = {}   #: id(stmt) -> range
         # int parameters never assigned in the body are runtime *constants*:
         # their own symbol is always an exact bound, whatever branch
         # refinements or widening did to their environment interval.
@@ -256,7 +279,10 @@ class IntervalAnalysis:
         if isinstance(expr, ast.Call):
             return self._eval_call(expr, env, facts)
         if isinstance(expr, ast.Binary):
-            return self._eval_binary(expr, env, facts)
+            assert expr.left is not None and expr.right is not None
+            # comparisons yield 0/1, but their operands still record accesses
+            return _apply(expr.op, self.eval(expr.left, env, facts),
+                          self.eval(expr.right, env, facts), expr.right)
         return Interval.top()
 
     def _eval_call(self, expr: ast.Call, env: Env, facts: Facts) -> Interval:
@@ -289,51 +315,6 @@ class IntervalAnalysis:
             return Interval(args[1].los, args[2].his)
         if expr.name == "fabs":
             return Interval((Poly.const(0),), args[0].his if args else ())
-        return Interval.top()
-
-    def _eval_binary(self, expr: ast.Binary, env: Env, facts: Facts
-                     ) -> Interval:
-        assert expr.left is not None and expr.right is not None
-        left = self.eval(expr.left, env, facts)
-        right = self.eval(expr.right, env, facts)
-        if expr.op == "+":
-            return _add(left, right)
-        if expr.op == "-":
-            return _add(left, _neg(right))
-        if expr.op == "*":
-            return _mul(left, right)
-        if expr.op == "/":
-            div = expr_to_poly(expr.right)
-            his = []
-            for hi in left.his:
-                q = _floordiv_hi(hi, div)
-                if q is not None:
-                    his.append(q)
-            los: Tuple[Poly, ...] = ()
-            c = div.constant_value()
-            if c is not None and c > 0 and left.nonneg():
-                los = (Poly.const(0),)
-            elif div.is_nonnegative() and not div.is_zero() and left.nonneg():
-                los = (Poly.const(0),)
-            return Interval(los, tuple(his[:_MAX_CANDIDATES]))
-        if expr.op == "%":
-            div = expr_to_poly(expr.right)
-            c = div.constant_value()
-            if left.nonneg():
-                if c is not None and c > 0:
-                    hi = Poly.const(c - 1)
-                elif div.is_nonnegative() and not div.is_zero():
-                    hi = div - Poly.const(1)
-                else:
-                    return Interval((Poly.const(0),), ())
-                # also |x % d| <= x for non-negative x
-                return Interval((Poly.const(0),),
-                                (hi,) + left.his[:_MAX_CANDIDATES - 1])
-            return Interval.top()
-        if expr.op in ("==", "!=", "<", "<=", ">", ">=", "&&", "||"):
-            # comparisons yield 0/1; still evaluate operands for recording
-            return Interval((Poly.const(0),), (Poly.const(1),))
-        # shifts / bit operations: conservative
         return Interval.top()
 
     # -- guard refinement ---------------------------------------------------
@@ -372,10 +353,6 @@ class IntervalAnalysis:
         self._apply_le(env, facts, left, right, strict=(op == "<"))
         if op == "==":
             self._apply_le(env, facts, right, left, strict=False)
-        elif op == "<=" or op == "<":
-            pass
-        if op == "==":
-            pass
         else:
             # also refine the RHS variable's lower bound: right > left
             self._apply_ge(env, right, left, strict=(op == "<"))
@@ -413,15 +390,11 @@ class IntervalAnalysis:
     # -- access recording ---------------------------------------------------
     def _record_access(self, node: ast.Index, env: Env, facts: Facts,
                        write: bool) -> None:
-        for idx in node.indices:
-            self.eval(idx, env, facts)   # record nested accesses
-        if not self.record:
-            return
         rec = AccessRecord(array=node.array, node=node, line=node.line,
                            write=write, facts=list(facts))
-        for idx in node.indices:
-            iv = self.eval(idx, env, facts)
-            rec.dims.append((idx, iv, expr_to_poly(idx)))
+        for idx in node.indices:    # records nested accesses first
+            rec.dims.append((idx, self.eval(idx, env, facts),
+                             expr_to_poly(idx)))
         self.accesses.append(rec)
 
     # -- statements ---------------------------------------------------------
@@ -453,14 +426,9 @@ class IntervalAnalysis:
                 return env
             assert isinstance(target, ast.Var)
             if stmt.op != "=":
-                current = env.get(target.name, Interval.top())
-                fake = ast.Binary(op=stmt.op[:-1], left=target,
-                                  right=stmt.value, line=stmt.line)
-                prev_record = self.record
-                self.record = False
-                value = self._eval_binary(fake, env, facts)
-                self.record = prev_record
-                del current
+                assert stmt.value is not None
+                value = _apply(stmt.op[:-1], self.eval(target, env, facts),
+                               value, stmt.value)
             if target.name in self.info.symbols \
                     and not self.info.symbols[target.name].is_array:
                 env[target.name] = value
@@ -482,47 +450,26 @@ class IntervalAnalysis:
                 if stmt.orelse is not None else e_env
             return self._join_env(out_t, out_e)
         if isinstance(stmt, ast.While):
-            return self._loop(stmt, stmt.cond, stmt.body, None, env, facts,
-                              loop_var=None)
+            return self._loop(stmt.cond, stmt.body, None, env, facts)
         if isinstance(stmt, ast.For):
             env = self._stmt(stmt.init, env, facts)
-            var = None
-            if isinstance(stmt.init, ast.VarDecl):
-                var = stmt.init.name
-            elif isinstance(stmt.init, ast.Assign) \
-                    and isinstance(stmt.init.target, ast.Var):
-                var = stmt.init.target.name
-            return self._loop(stmt, stmt.cond, stmt.body, stmt.step, env,
-                              facts, loop_var=var)
+            return self._loop(stmt.cond, stmt.body, stmt.step, env, facts)
         if isinstance(stmt, ast.Foreach):
+            assert stmt.body is not None
             count = self.eval(stmt.count, env, facts)
-            env = dict(env)
             iv = Interval((Poly.const(0),),
                           tuple(hi - Poly.const(1) for hi in count.his))
-            env[stmt.var] = iv
-            const_count = None
-            if isinstance(stmt.count, ast.IntLit):
-                const_count = stmt.count.value
-            assert stmt.body is not None
-            self.loop_ranges[id(stmt)] = LoopRange(
-                var=stmt.var, stmt=stmt, interval=iv,
-                const_count=const_count)
+            env = {**env, stmt.var: iv}
             out = self._loop_body_fix(stmt.body, env, facts, None, None,
                                       pinned={stmt.var: iv})
             return self._join_env(env, out)
         raise TypeError(f"unknown statement {stmt!r}")  # pragma: no cover
 
     # -- loops --------------------------------------------------------------
-    def _loop(self, stmt: ast.Stmt, cond: Optional[ast.Expr],
-              body: Optional[ast.Stmt], step: Optional[ast.Stmt],
-              env: Env, facts: Facts, loop_var: Optional[str]) -> Env:
+    def _loop(self, cond: Optional[ast.Expr], body: Optional[ast.Stmt],
+              step: Optional[ast.Stmt], env: Env, facts: Facts) -> Env:
         assert body is not None
         out = self._loop_body_fix(body, env, facts, cond, step, pinned={})
-        if loop_var is not None and loop_var in out:
-            t_env, _ = self.refine(out, facts, cond, True)
-            self.loop_ranges[id(stmt)] = LoopRange(
-                var=loop_var, stmt=stmt,
-                interval=t_env.get(loop_var, Interval.top()))
         # After the loop the negated condition holds (if it simply exited).
         post, _ = self.refine(self._join_env(env, out), facts, cond, False)
         return post
@@ -530,54 +477,40 @@ class IntervalAnalysis:
     def _loop_body_fix(self, body: ast.Stmt, env: Env, facts: Facts,
                        cond: Optional[ast.Expr], step: Optional[ast.Stmt],
                        pinned: Dict[str, Interval]) -> Env:
-        """Bounded fixpoint with per-bound widening, then a recording pass."""
-        prev_record, self.record = self.record, False
-        cur = dict(env)
-        cur.update(pinned)
-        for _ in range(2):
+        """Interpret ``body`` pass after pass; keep the last pass's accesses.
+
+        A pass stops the loop when joining its exit state into its entry
+        state changes no name bound at loop entry (body-local names are out
+        of scope after the loop).  From the third pass on, the bounds that
+        still move are dropped, so each pass keeps a subset of its entry
+        candidates and the passes terminate.
+        """
+        enclosing = self.accesses
+        cur = {**env, **pinned}
+        for passes in itertools.count(1):
+            self.accesses = []
             body_env, body_facts = self.refine(cur, facts, cond, True)
             out = self._stmt(body, body_env, body_facts)
             if step is not None:
                 out = self._stmt(step, out, body_facts)
-            out.update(pinned)
-            nxt = self._join_env(cur, out)
-            nxt.update(pinned)
+            nxt = dict(pinned)
+            for name in cur.keys() - pinned.keys():
+                a = cur[name]
+                j = join(a, out[name])
+                if passes >= 3:
+                    # Keep exactly the candidates of `a` that survived the
+                    # join (they still bound the next iteration).
+                    j = Interval(tuple(lo for lo in a.los if lo in j.los),
+                                 tuple(hi for hi in a.his if hi in j.his))
+                nxt[name] = j
             if nxt == cur:
                 break
             cur = nxt
-        else:
-            # Widen the bounds that are still moving.
-            body_env, body_facts = self.refine(cur, facts, cond, True)
-            out = self._stmt(body, body_env, body_facts)
-            if step is not None:
-                out = self._stmt(step, out, body_facts)
-            widened: Env = {}
-            for name in set(cur) | set(out):
-                if name in pinned:
-                    widened[name] = pinned[name]
-                    continue
-                a = cur.get(name, Interval.top())
-                b = out.get(name, Interval.top())
-                j = self._join(a, b)
-                # Per-bound widening: keep exactly the candidates of `cur`
-                # that survived the join (they still bound the next
-                # iteration); drop the ones that moved.
-                widened[name] = Interval(
-                    tuple(lo for lo in a.los if lo in j.los),
-                    tuple(hi for hi in a.his if hi in j.his))
-            cur = widened
-        self.record = prev_record
-        body_env, body_facts = self.refine(cur, facts, cond, True)
-        final = self._stmt(body, body_env, body_facts)
-        if step is not None:
-            final = self._stmt(step, final, body_facts)
-        return self._join_env(cur, final)
+        enclosing.extend(self.accesses)
+        self.accesses = enclosing
+        return self._join_env(cur, out)
 
     # -- environment lattice -------------------------------------------------
-    @staticmethod
-    def _join(a: Interval, b: Interval) -> Interval:
-        return join(a, b)
-
     @staticmethod
     def _join_env(a: Env, b: Env) -> Env:
         out: Env = {}

@@ -15,13 +15,13 @@ subscript differing from the guarded expression by a known constant.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..mcpl import ast
 from ..mcpl.semantics import KernelInfo
-from .cfg import CFG, build_cfg, def_use_chains, reaching_definitions
+from .cfg import build_cfg, def_use_chains, reaching_definitions
 from ...analyze.findings import Finding
-from .intervals import Interval, IntervalAnalysis, analyze_intervals
+from .intervals import Interval, analyze_intervals
 from .poly import Poly, expr_to_poly
 
 __all__ = ["check_bounds", "check_dataflow", "check_params", "check_memory"]
@@ -48,15 +48,11 @@ def _prove_upper(iv: Interval, poly: Poly, limit: Poly,
     return False
 
 
-def check_bounds(info: KernelInfo,
-                 analysis: Optional[IntervalAnalysis] = None
-                 ) -> List[Finding]:
+def check_bounds(info: KernelInfo) -> List[Finding]:
     """MCL201: subscripts not provably within the declared dimensions."""
-    if analysis is None:
-        analysis = analyze_intervals(info)
     findings: List[Finding] = []
     seen: Set[Tuple[str, int, int, str]] = set()
-    for rec in analysis.accesses:
+    for rec in analyze_intervals(info).accesses:
         typ = info.symbols.get(rec.array)
         if typ is None or not typ.is_array:
             continue
@@ -92,11 +88,9 @@ def check_bounds(info: KernelInfo,
 # MCL301 / MCL302 — uninitialized reads and dead stores
 # ---------------------------------------------------------------------------
 
-def check_dataflow(info: KernelInfo,
-                   cfg: Optional[CFG] = None) -> List[Finding]:
+def check_dataflow(info: KernelInfo) -> List[Finding]:
     """MCL301 (read of maybe-uninitialized local) and MCL302 (dead store)."""
-    if cfg is None:
-        cfg = build_cfg(info)
+    cfg = build_cfg(info)
     in_sets = reaching_definitions(cfg)
     chains = def_use_chains(cfg, in_sets)
     by_id = {d.def_id: d for d in cfg.definitions}

@@ -93,10 +93,6 @@ class Poly:
             out[rest] = out.get(rest, Fraction(0)) + coeff
         return Poly(out)
 
-    def drop(self, name: str) -> "Poly":
-        """The terms not mentioning ``name``."""
-        return Poly({m: c for m, c in self.terms.items() if name not in m})
-
     def is_nonnegative(self) -> bool:
         """Sufficient test: every coefficient >= 0 (symbols are >= 0)."""
         return all(coeff >= 0 for coeff in self.terms.values())

@@ -30,6 +30,7 @@ from repro.mcl.hdl import get_description
 from repro.mcl.mcpl.interpreter import execute
 from repro.mcl.mcpl.semantics import analyze
 from repro.mcl.verify import render_json, verify_kernel
+from repro.mcl.verify.intervals import analyze_intervals
 
 MATMUL_PERFECT = """
 perfect void matmul(int n, int m, int p,
@@ -601,6 +602,18 @@ COMPILER_GOLDEN_HASH = \
 GOLDEN_PARAM_VALUE = 256
 
 
+def _builtin_versions():
+    """``(app/name@level, version)`` for every builtin kernel version.
+
+    The optimized library of each app holds the versions of both sources.
+    """
+    for app in (MatmulApp, KMeansApp, NBodyApp, RaytracerApp):
+        lib = app.build_library(optimized=True)
+        for name in lib.kernel_names():
+            for level, version in lib.versions(name).items():
+                yield f"{app.name}/{name}@{level}", version
+
+
 def _compiler_outputs():
     def scalars(info):
         return {p.name: GOLDEN_PARAM_VALUE for p in info.kernel.scalar_params}
@@ -621,15 +634,14 @@ def _compiler_outputs():
                         "profile": repr(compiled.profile(params)),
                         "feedback": feedback(compiled.leaf_info, params),
                     }
-        for name in lib.kernel_names():   # the optimized library: every version
-            for level, version in lib.versions(name).items():
-                params = scalars(version.info)
-                out[f"{app.name}/{name}@{level}"] = {
-                    "verify": render_json(verify_kernel(version.info)),
-                    "feedback": feedback(version.info),
-                    "feedback_params": feedback(version.info, params),
-                    "cost_params": list(cost_params(version.info, params)),
-                }
+    for key, version in _builtin_versions():
+        params = scalars(version.info)
+        out[key] = {
+            "verify": render_json(verify_kernel(version.info)),
+            "feedback": feedback(version.info),
+            "feedback_params": feedback(version.info, params),
+            "cost_params": list(cost_params(version.info, params)),
+        }
     return out
 
 
@@ -641,3 +653,34 @@ def test_compiler_outputs_match_golden():
     assert digest == COMPILER_GOLDEN_HASH, (
         "the compiler's or the verifier's output on the builtin kernels "
         "changed; it is no longer identical to the committed golden")
+
+
+# The golden above pins the verifier's findings only, so a change to the
+# interval analysis that loosened a bound without crossing a dimension
+# would still pass it.  This one pins every access record of every builtin
+# kernel version: the array, line and write flag, each dimension's index
+# expression, interval and polynomial, and the guard facts at the access.
+
+INTERVALS_GOLDEN_HASH = \
+    "b3d220a339f4248f8b85e27d4da37181d0db78ef9963aeeddd37e2c43af714cc"
+
+
+def _interval_records():
+    def record(rec):
+        return {"array": rec.array, "line": rec.line, "write": rec.write,
+                "dims": [[str(idx), repr(iv), repr(poly)]
+                         for idx, iv, poly in rec.dims],
+                "facts": [[repr(lhs), repr(bound)] for lhs, bound in rec.facts]}
+
+    return {key: [record(rec) for rec in analyze_intervals(version.info).accesses]
+            for key, version in _builtin_versions()}
+
+
+def test_interval_records_match_golden():
+    records = _interval_records()
+    assert len(records) == 11
+    digest = hashlib.sha256(
+        json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == INTERVALS_GOLDEN_HASH, (
+        "the interval analysis's access records on the builtin kernels "
+        "changed; they are no longer identical to the committed golden")

@@ -7,10 +7,14 @@ chains, and the interval abstract interpretation.
 
 from fractions import Fraction
 
+import pytest
+
+from repro.apps.matmul import MatmulApp
 from repro.mcl.mcpl.parser import parse_kernel
 from repro.mcl.mcpl.semantics import analyze
+from repro.mcl.verify import verify_source
 from repro.mcl.verify.cfg import build_cfg, def_use_chains, reaching_definitions
-from repro.mcl.verify.intervals import analyze_intervals
+from repro.mcl.verify.intervals import IntervalAnalysis, analyze_intervals
 from repro.mcl.verify.poly import Poly
 
 
@@ -164,7 +168,7 @@ def test_for_loop_bound_is_tracked():
     """
     analysis = analyze_intervals(info_of(src))
     recs = [r for r in analysis.accesses if r.array == "a"]
-    assert recs
+    assert len(recs) == 2     # one read, one write: the last pass only
     for rec in recs:
         ((_, iv, _),) = rec.dims
         assert iv.nonneg()
@@ -182,3 +186,48 @@ def test_division_upper_bound_floors_constants():
     """
     from repro.mcl.verify import verify_source
     assert not [f for f in verify_source(src) if f.code == "MCL201"]
+
+
+# ---------------------------------------------------------------------------
+# loop passes: the pass that stops a loop is also its recording pass
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """Count IntervalAnalysis._loop_body_fix calls (one per loop entry)."""
+    calls = []
+    fix = IntervalAnalysis._loop_body_fix
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return fix(self, *args, **kwargs)
+
+    monkeypatch.setattr(IntervalAnalysis, "_loop_body_fix", counted)
+    return calls
+
+
+def foreach_nest(depth):
+    """``depth`` nested foreach loops, each declaring a local."""
+    loops = "".join(f"foreach (int i{k} in n threads) {{ int x{k} = i{k};\n"
+                    for k in range(depth))
+    return (f"perfect void f(int n, float[n] a) {{\n{loops}"
+            f"a[x{depth - 1}] = 0.0;\n" + "}" * depth + "\n}\n")
+
+
+@pytest.mark.parametrize("depth", [2, 4, 6])
+def test_foreach_nest_takes_one_pass_per_loop(loop_calls, depth):
+    # A body-local declaration is out of scope after the loop, so it does
+    # not keep the loop running: each foreach is entered exactly once.
+    analysis = analyze_intervals(info_of(foreach_nest(depth)))
+    assert len(loop_calls) == depth
+    (rec,) = analysis.accesses
+    ((_, iv, _),) = rec.dims
+    assert iv.nonneg()
+    assert iv.bounded_above_by(Poly.var("n") - Poly.const(1))
+
+
+def test_optimized_matmul_loop_passes_stay_bounded(loop_calls):
+    # Every pass of a loop enters each inner loop once, so extra passes
+    # multiply with the nesting depth; this source needs 697 loop entries.
+    assert not verify_source(MatmulApp.KERNELS_OPTIMIZED)
+    assert len(loop_calls) <= 1000

@@ -6,6 +6,8 @@ kernel, plus tests of the suppression machinery and the renderers.
 
 import json
 
+import pytest
+
 from repro.mcl.verify import (Severity, has_errors, render_json, render_text,
                               verify_source)
 
@@ -71,6 +73,25 @@ def test_mcl201_guard_refinement_proves_bounds():
     }
     """
     assert "MCL201" not in codes(src)
+
+
+@pytest.mark.parametrize("guard", ["if (i == 4) { out[0] = 1; }",
+                                   "if (i == 2) { continue; }"],
+                         ids=["equality", "continue"])
+def test_mcl201_counter_bound_holds_on_every_iteration(guard):
+    # The counter runs to n - 1, so out[i] overflows the 7 elements for
+    # n > 7.  Under the guard the counter's bounds keep moving from pass to
+    # pass, and only a pass that changes them no more may be recorded.
+    src = f"""
+    perfect void f(int n, int[7] out) {{
+      for (int i = 0; i < n; i++) {{
+        {guard}
+        out[i] = 1;
+      }}
+    }}
+    """
+    (found,) = findings_for(src, "MCL201")
+    assert "(i) of 'out'" in found.message and "< 7" in found.message
 
 
 # ---------------------------------------------------------------------------
