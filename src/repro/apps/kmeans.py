@@ -26,7 +26,8 @@ import numpy as np
 
 from .base import FLOAT_BYTES, CashmereApplication
 
-__all__ = ["KMeansApp", "KMeansTask", "reference_kmeans_iteration",
+__all__ = ["KMeansApp", "KMeansTask", "nearest_centroid",
+           "reference_kmeans_iteration",
            "paper_app", "small_app", "PAPER_POINTS", "PAPER_K", "PAPER_D",
            "PAPER_ITERATIONS"]
 
@@ -182,14 +183,102 @@ class KMeansTask:
         return self.hi - self.lo
 
 
+#: Points per distance block.  One ``(rows, k)`` term is 256 KiB at k = 64,
+#: so the few terms a block keeps live stay in cache.
+_BLOCK_ROWS = 512
+
+
+def _pairwise_terms(block_t: np.ndarray, centroids_t: np.ndarray,
+                    lo: int, n: int) -> np.ndarray:
+    """Sum of the squared-difference terms of features ``[lo, lo + n)``.
+
+    The terms are added in the order of numpy's pairwise summation
+    (``pairwise_sum`` in ``loops_utils.h.src``): below 8 terms left to
+    right; up to 128 as eight running sums combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the remainder; above
+    128 split at a multiple of 8 near the middle, each half recursively.
+    """
+    def term(f: int) -> np.ndarray:
+        t = np.subtract.outer(block_t[f], centroids_t[f])
+        return np.multiply(t, t, out=t)
+
+    if n < 8:
+        total = term(lo)
+        for f in range(lo + 1, lo + n):
+            total += term(f)
+        return total
+    if n <= 128:
+        tail = n - n % 8
+
+        def running(j: int) -> np.ndarray:
+            r = term(lo + j)
+            for i in range(8, tail, 8):
+                r += term(lo + i + j)
+            return r
+
+        def pair(j: int) -> np.ndarray:
+            r = running(j)
+            r += running(j + 1)
+            return r
+
+        # Each running sum is built just before it is added, so at most
+        # five (rows, k) arrays are live; keeping all eight is slower.
+        total = pair(0)
+        total += pair(2)
+        right = pair(4)
+        right += pair(6)
+        total += right
+        for f in range(lo + tail, lo + n):
+            total += term(f)
+        return total
+    half = n // 2 - (n // 2) % 8
+    total = _pairwise_terms(block_t, centroids_t, lo, half)
+    total += _pairwise_terms(block_t, centroids_t, lo + half, n - half)
+    return total
+
+
+def _squared_distances(block: np.ndarray, centroids_t: np.ndarray
+                       ) -> np.ndarray:
+    """``(rows, k)`` squared distances of ``block`` to the ``(d, k)``
+    transposed centroids, bit-identical to
+    ``((block[:, None] - centroids[None]) ** 2).sum(axis=2)``."""
+    block_t = np.ascontiguousarray(block.T)
+    return _pairwise_terms(block_t, centroids_t, 0, block_t.shape[0])
+
+
+def nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest centroid, the first one on a tie.
+
+    Exact against ``((points[:, None] - centroids[None]) ** 2).sum(axis=2)
+    .argmin(axis=1)``: every distance is the same float, added in numpy's
+    own summation order, but no ``(points, k, d)`` or ``(points, k)``
+    temporary is built.  The points are walked in blocks of
+    ``_BLOCK_ROWS``.  The BLAS form ``|p|^2 - 2 p.c + |c|^2`` is faster
+    but rounds differently, so it would move near-tie assignments.
+    """
+    centroids_t = np.ascontiguousarray(centroids.T)
+    assign = np.empty(points.shape[0], dtype=np.intp)
+    for lo in range(0, points.shape[0], _BLOCK_ROWS):
+        block = points[lo:lo + _BLOCK_ROWS]
+        _squared_distances(block, centroids_t).argmin(
+            axis=1, out=assign[lo:lo + block.shape[0]])
+    return assign
+
+
 def reference_kmeans_iteration(points: np.ndarray, centroids: np.ndarray
                                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One assignment pass: (assignments, per-cluster sums, counts)."""
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    assign = d2.argmin(axis=1)
+    """One assignment pass: (assignments, per-cluster sums, counts).
+
+    Exact against the textbook numpy form: :func:`nearest_centroid`
+    matches the broadcast distance ``argmin``, and each column's
+    ``bincount`` adds the points in index order, as
+    ``np.add.at(sums, assign, points)`` does.
+    """
+    assign = nearest_centroid(points, centroids)
     k = centroids.shape[0]
     sums = np.zeros_like(centroids)
-    np.add.at(sums, assign, points)
+    for f in range(points.shape[1]):
+        sums[:, f] = np.bincount(assign, weights=points[:, f], minlength=k)
     counts = np.bincount(assign, minlength=k).astype(float)
     return assign, sums, counts
 
@@ -289,32 +378,12 @@ class KMeansApp(CashmereApplication):
         return self.result_bytes(task)
 
     # -- real execution ----------------------------------------------------------
-    def leaf_batch(self, tasks) -> List[Any]:
-        """One vectorized assignment pass over every pending leaf's points.
-
-        The O(n·k·d) distance/argmin work runs once over the concatenated
-        chunks (assignments are row-independent, so concatenation changes
-        nothing); the cheap per-task segment reductions then give each
-        leaf's partial (sums, counts) exactly, however the leaves are
-        batched.
-        """
+    def leaf_result(self, task: KMeansTask) -> Any:
         if self.data is None:
-            return [None] * len(tasks)
-        chunks = [self.data[t.lo:t.hi] for t in tasks]
-        points = np.concatenate(chunks)
-        d2 = ((points[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        assign = d2.argmin(axis=1)
-        k = self.centroids.shape[0]
-        out: List[Any] = []
-        off = 0
-        for t, chunk in zip(tasks, chunks):
-            a = assign[off:off + t.count]
-            sums = np.zeros_like(self.centroids)
-            np.add.at(sums, a, chunk)
-            counts = np.bincount(a, minlength=k).astype(float)
-            out.append((sums, counts))
-            off += t.count
-        return out
+            return None
+        _, sums, counts = reference_kmeans_iteration(
+            self.data[task.lo:task.hi], self.centroids)
+        return sums, counts
 
 
 def paper_app() -> KMeansApp:

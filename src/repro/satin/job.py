@@ -244,7 +244,7 @@ class DivideConquerApp:
         leaf computed twice (a stolen job re-executed after its thief
         crashed), so a write should assign rather than accumulate.  The
         default loops over :meth:`leaf_result`; vectorizing apps (matmul,
-        n-body, k-means) override it.
+        n-body) override it.
         """
         return [self.leaf_result(t) for t in tasks]
 

@@ -1,6 +1,10 @@
 """K-means application: kernel correctness and iterative distributed runs."""
 
+import tracemalloc
+
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.apps.base import run_cashmere, run_satin
 from repro.apps.kmeans import (
@@ -8,6 +12,8 @@ from repro.apps.kmeans import (
     KERNELS_MIC,
     KERNELS_PERFECT,
     KMeansApp,
+    _squared_distances,
+    nearest_centroid,
     reference_kmeans_iteration,
     small_app,
 )
@@ -31,6 +37,71 @@ def run_kernel(src, points, centroids, transpose_points=False):
     pts = np.ascontiguousarray(points.T) if transpose_points else points
     execute(parse_kernel(src), k, d, n, pts, centroids, sums, counts, assign)
     return assign, sums, counts
+
+
+# The broadcast form the blocked distances must equal bit for bit.  Cases
+# are sized so that its (n, k, d) temporary stays under 16 MiB.
+BROADCAST_ELEMENTS = 1 << 21
+
+
+@st.composite
+def _distance_cases(draw):
+    d = draw(st.integers(1, 260))
+    k = draw(st.integers(1, 80))
+    n = draw(st.integers(1, min(1500, BROADCAST_ELEMENTS // (k * d))))
+    return (n, k, d, draw(st.floats(-3, 3)), draw(st.integers(0, k - 1)),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(deadline=None)
+@given(_distance_cases())
+@example((1100, 37, 1, 0.0, 5, 1))
+@example((1100, 37, 7, 2.5, 5, 2))
+@example((1100, 37, 8, -2.5, 5, 3))
+@example((1100, 37, 9, 1.0, 5, 4))
+@example((1100, 37, 16, -1.0, 5, 5))
+@example((600, 16, 128, 0.0, 3, 6))
+@example((600, 16, 129, 0.0, 3, 7))
+@example((600, 16, 136, 3.0, 3, 8))
+def test_blocked_numerics_equal_broadcast(case):
+    """The blocked distances add in numpy's own order, so they, the
+    assignments and the bincount sums are exactly the broadcast's.  A
+    numpy that sums in another order fails here."""
+    n, k, d, exponent, duplicates, seed = case
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** exponent
+    points = rng.standard_normal((n, d)) * scale
+    centroids = rng.standard_normal((k, d)) * scale
+    # repeated centroids tie exactly; argmin keeps the first
+    centroids[k - duplicates:] = centroids[:duplicates]
+    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    assign = d2.argmin(axis=1)
+    sums = np.zeros_like(centroids)
+    np.add.at(sums, assign, points)
+
+    got = _squared_distances(points, np.ascontiguousarray(centroids.T))
+    assert np.array_equal(got, d2)
+    assert np.array_equal(nearest_centroid(points, centroids), assign)
+    got_assign, got_sums, got_counts = reference_kmeans_iteration(
+        points, centroids)
+    assert np.array_equal(got_assign, assign)
+    assert np.array_equal(got_sums, sums)
+    assert np.array_equal(got_counts, np.bincount(assign, minlength=k))
+
+
+def test_reference_iteration_memory_is_bounded():
+    """No (points, k, d) temporary: 2^15 points, k = 64, d = 8 would
+    need 128 MiB for one."""
+    rng = np.random.default_rng(0)
+    points = rng.random((1 << 15, 8))
+    centroids = rng.random((64, 8))
+    tracemalloc.start()
+    try:
+        reference_kmeans_iteration(points, centroids)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_perfect_kernel_matches_reference():
