@@ -246,22 +246,94 @@ def _squared_distances(block: np.ndarray, centroids_t: np.ndarray
     return _pairwise_terms(block_t, centroids_t, 0, block_t.shape[0])
 
 
+def _gram_settle(points: np.ndarray, centroids_t: np.ndarray
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Rank every point by the Gram form and prove which ranks are exact.
+
+    Returns ``(best, refine)``.  ``best[i]`` is the first argmin of
+    ``S_i = |c|^2 - 2 p_i.c``, point ``i``'s squared distances less the
+    row-constant ``|p_i|^2``: one small GEMM against the ``-2``-scaled
+    ``(d, k)`` centroids and one add of ``|c|^2`` per ``_BLOCK_ROWS``
+    block.  ``refine`` lists, in order, the rows whose ``best`` is not
+    proven to be the broadcast's argmin.
+
+    The bound holds for any summation order, with or without FMA.  Let
+    ``u = 2^-53``, ``g_n = n u / (1 - n u)``, ``D_j = |p - c_j|^2``
+    exactly and ``M = (|p| + max_j |c_j|)^2``.
+
+    * The broadcast's ``D^_j`` has ``|D^_j - D_j| <= g_{d+2} D_j``: one
+      rounding for the difference, one for the square and ``d - 1`` for
+      the sum of nonnegative terms.
+    * The Gram value ``S~_j`` has ``|S~_j - (D_j - |p|^2)| <= g_{d+1}
+      (|c_j|^2 + 2 |p| |c_j|)``: ``g_d`` for the dot product and for
+      ``|c_j|^2``, one rounding for the add.  Scaling by -2 is exact; if
+      it overflows, so does ``|c_j|^2``.
+    * Both right-hand sides are at most ``g_{d+2} M``, so ``D^_j - |p|^2
+      = S~_j + e_j`` with ``|e_j| <= E = 2 g_{d+2} M``.
+
+    So if ``S~_j > S~_b + 2E`` for every ``j != b``, then ``D^_j > D^_b``:
+    ``b`` is the broadcast's argmin, with no tie.  A row is settled when
+    every ``j != b`` has ``S~_j > thr = S~_b + (8 (d + 3) u M~ + eta)``,
+    where ``M~`` is ``M`` from the computed norms.  ``8 (d + 3) u M~``
+    covers ``4 g_{d+2} M`` with room for the roundings of ``M~`` and of
+    ``thr`` itself.  Gradual underflow adds at most ``2^-1075`` per
+    rounded product or square, ``6 d`` of them to ``|e_j| + |e_b|``, and
+    leaves ``8 (d + 3) u M~`` short by at most ``2^-1074``;
+    ``eta = (4 d + 8) 2^-1074`` covers both.  Rounding is monotone, so an
+    ``S~_j`` that overflows to ``+inf`` still lies above a finite ``thr``.
+
+    Every row the proof does not cover fails the test.  Near ties, and
+    exact ties from a duplicated centroid, fall within the margin.  A NaN
+    or infinity in the row, or an ``M~`` that overflows, makes ``thr``
+    NaN or ``+inf``.  A non-finite centroid makes ``max_j |c_j|`` NaN or
+    ``+inf`` for every row, since ``max`` propagates NaN.
+    """
+    d, k = centroids_t.shape
+    c_sq = np.einsum("fj,fj->j", centroids_t, centroids_t)
+    c_norm = np.sqrt(c_sq.max())
+    scaled_t = centroids_t * -2.0
+    tol = 8 * (d + 3) * 2.0 ** -53
+    eta = (4 * d + 8) * 2.0 ** -1074
+    best = np.empty(points.shape[0], dtype=np.intp)
+    settled = np.empty(points.shape[0], dtype=bool)
+    # flat index of each block row's first column
+    starts = np.arange(_BLOCK_ROWS) * k
+    for lo in range(0, points.shape[0], _BLOCK_ROWS):
+        block = points[lo:lo + _BLOCK_ROWS]
+        rows = block.shape[0]
+        gram = block @ scaled_t
+        gram += c_sq
+        flat = gram.reshape(-1)
+        at = starts[:rows] + gram.argmin(axis=1, out=best[lo:lo + rows])
+        norm = np.sqrt(np.einsum("ij,ij->i", block, block)) + c_norm
+        thr = flat[at] + (norm * norm * tol + eta)
+        flat[at] = np.inf
+        runner_up = flat[starts[:rows] + gram.argmin(axis=1)]
+        settled[lo:lo + rows] = runner_up > thr
+    return best, np.flatnonzero(~settled)
+
+
 def nearest_centroid(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Index of each point's nearest centroid, the first one on a tie.
 
     Exact against ``((points[:, None] - centroids[None]) ** 2).sum(axis=2)
-    .argmin(axis=1)``: every distance is the same float, added in numpy's
-    own summation order, but no ``(points, k, d)`` or ``(points, k)``
-    temporary is built.  The points are walked in blocks of
-    ``_BLOCK_ROWS``.  The BLAS form ``|p|^2 - 2 p.c + |c|^2`` is faster
-    but rounds differently, so it would move near-tie assignments.
+    .argmin(axis=1)`` in float64.  :func:`_gram_settle` ranks every point
+    with the BLAS form ``|c|^2 - 2 p.c`` and a proven bound on its
+    rounding, which settles a row when its runner-up is clear of its best
+    by more than twice that bound.  Only the other rows (near ties, exact
+    ties, non-finite or out-of-range values) take the exact pass,
+    :func:`_squared_distances`: every distance the same float as the
+    broadcast's, added in numpy's own summation order.  Both walk the
+    points in blocks of ``_BLOCK_ROWS``, so no ``(points, k, d)`` or
+    ``(points, k)`` temporary is built.
     """
-    centroids_t = np.ascontiguousarray(centroids.T)
-    assign = np.empty(points.shape[0], dtype=np.intp)
-    for lo in range(0, points.shape[0], _BLOCK_ROWS):
-        block = points[lo:lo + _BLOCK_ROWS]
-        _squared_distances(block, centroids_t).argmin(
-            axis=1, out=assign[lo:lo + block.shape[0]])
+    points = np.asarray(points, dtype=np.float64)
+    centroids_t = np.ascontiguousarray(centroids.T, dtype=np.float64)
+    assign, refine = _gram_settle(points, centroids_t)
+    for lo in range(0, refine.size, _BLOCK_ROWS):
+        rows = refine[lo:lo + _BLOCK_ROWS]
+        assign[rows] = _squared_distances(points[rows],
+                                          centroids_t).argmin(axis=1)
     return assign
 
 

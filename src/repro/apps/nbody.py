@@ -193,6 +193,10 @@ class NBodyTask:
 #: 2 for inv3, 1 scale, 6 for the accumulate) — the customary count is 20.
 FLOPS_PER_INTERACTION = 20.0
 
+#: Bodies per force block in ``leaf_batch``.  Each ``(rows, n, 3)``
+#: temporary of a block takes 1.5 KiB per body of ``n``.
+_BLOCK_BODIES = 64
+
 
 def reference_nbody_step(pos: np.ndarray, vel: np.ndarray, dt: float
                          ) -> Tuple[np.ndarray, np.ndarray]:
@@ -301,18 +305,23 @@ class NBodyApp(CashmereApplication):
         Forces are computed row-independently, so concatenating the body
         ranges leaves each row's reduction unchanged: the staged
         positions/velocities and per-task checksums are the same however
-        the leaves are batched.  Leaves write into staging arrays so
-        in-iteration updates do not corrupt other leaves' inputs;
-        program() commits them after the round.
+        the leaves are batched.  The stacked rows are walked in blocks of
+        ``_BLOCK_BODIES``, so the ``(rows, n, 3)`` temporaries do not grow
+        with the number of leaves batched.  Leaves write into staging
+        arrays so in-iteration updates do not corrupt other leaves'
+        inputs; program() commits them after the round.
         """
         if self.data is None:
             return [0.0] * len(tasks)
         pos, vel = self.data
         idx = np.concatenate([np.arange(t.lo, t.hi) for t in tasks])
-        delta = pos[None, :, :3] - pos[idx, None, :3]
-        r2 = (delta ** 2).sum(axis=2) + SOFTENING
-        s = pos[None, :, 3] * r2 ** -1.5
-        acc = (delta * s[:, :, None]).sum(axis=1)
+        acc = np.empty((idx.size, 3))
+        for lo in range(0, idx.size, _BLOCK_BODIES):
+            rows = idx[lo:lo + _BLOCK_BODIES]
+            delta = pos[None, :, :3] - pos[rows, None, :3]
+            r2 = (delta ** 2).sum(axis=2) + SOFTENING
+            s = pos[None, :, 3] * r2 ** -1.5
+            acc[lo:lo + rows.size] = (delta * s[:, :, None]).sum(axis=1)
         out: List[Any] = []
         off = 0
         for t in tasks:

@@ -12,6 +12,7 @@ from repro.apps.kmeans import (
     KERNELS_MIC,
     KERNELS_PERFECT,
     KMeansApp,
+    _gram_settle,
     _squared_distances,
     nearest_centroid,
     reference_kmeans_iteration,
@@ -43,6 +44,13 @@ def run_kernel(src, points, centroids, transpose_points=False):
 # are sized so that its (n, k, d) temporary stays under 16 MiB.
 BROADCAST_ELEMENTS = 1 << 21
 
+#: Inputs whose rows the Gram pass must leave to the exact pass: points a
+#: few ulps off the midpoint of two centroids, NaN or infinite entries in
+#: the points or in one centroid, and scales near overflow (a float) or in
+#: the subnormal range.  ``None`` leaves the drawn data as it is.
+ADVERSARIES = (None, "midpoint", "nonfinite", "centroid",
+               1e160, 1e-160, 1e300, 1e-310)
+
 
 @st.composite
 def _distance_cases(draw):
@@ -50,43 +58,103 @@ def _distance_cases(draw):
     k = draw(st.integers(1, 80))
     n = draw(st.integers(1, min(1500, BROADCAST_ELEMENTS // (k * d))))
     return (n, k, d, draw(st.floats(-3, 3)), draw(st.integers(0, k - 1)),
-            draw(st.integers(0, 2 ** 32 - 1)))
+            draw(st.integers(0, 2 ** 32 - 1)),
+            draw(st.sampled_from(ADVERSARIES)))
+
+
+def _adversarial(adversary, points, centroids, rng):
+    """Overwrite rows of ``points`` or ``centroids`` in place."""
+    (n, d), k = points.shape, centroids.shape[0]
+    if adversary == "midpoint" and k > 1:
+        a = rng.integers(k, size=n)
+        b = (a + rng.integers(1, k, size=n)) % k
+        mid = (centroids[a] + centroids[b]) / 2
+        ulps = rng.integers(-4, 5, size=mid.shape)
+        for step in range(4):
+            nudge = np.abs(ulps) > step
+            mid[nudge] = np.nextafter(mid[nudge],
+                                      np.copysign(np.inf, ulps[nudge]))
+        rows = rng.random(n) < 0.5
+        points[rows] = mid[rows]
+    elif adversary == "nonfinite":
+        hit = rng.random((n, d)) < 0.05
+        points[hit] = rng.choice([np.nan, np.inf, -np.inf], size=hit.sum())
+    elif adversary == "centroid":
+        centroids[rng.integers(k), rng.integers(d)] = rng.choice(
+            [np.nan, np.inf, -np.inf])
 
 
 @settings(deadline=None)
 @given(_distance_cases())
-@example((1100, 37, 1, 0.0, 5, 1))
-@example((1100, 37, 7, 2.5, 5, 2))
-@example((1100, 37, 8, -2.5, 5, 3))
-@example((1100, 37, 9, 1.0, 5, 4))
-@example((1100, 37, 16, -1.0, 5, 5))
-@example((600, 16, 128, 0.0, 3, 6))
-@example((600, 16, 129, 0.0, 3, 7))
-@example((600, 16, 136, 3.0, 3, 8))
+@example((1100, 37, 1, 0.0, 5, 1, None))
+@example((1100, 37, 7, 2.5, 5, 2, None))
+@example((1100, 37, 8, -2.5, 5, 3, None))
+@example((1100, 37, 9, 1.0, 5, 4, None))
+@example((1100, 37, 16, -1.0, 5, 5, None))
+@example((600, 16, 128, 0.0, 3, 6, None))
+@example((600, 16, 129, 0.0, 3, 7, None))
+@example((600, 16, 136, 3.0, 3, 8, None))
+@example((1100, 37, 8, 0.0, 5, 9, "midpoint"))
+@example((1100, 37, 8, 0.0, 5, 10, "nonfinite"))
+@example((1100, 37, 8, 0.0, 5, 11, "centroid"))
+@example((1100, 37, 8, 0.0, 5, 12, 1e160))
+@example((1100, 37, 1, 0.0, 5, 13, 1e-160))
+@example((1100, 37, 8, 0.0, 5, 14, 1e300))
+@example((1100, 37, 8, 0.0, 5, 15, 1e-310))
 def test_blocked_numerics_equal_broadcast(case):
     """The blocked distances add in numpy's own order, so they, the
     assignments and the bincount sums are exactly the broadcast's.  A
-    numpy that sums in another order fails here."""
-    n, k, d, exponent, duplicates, seed = case
+    numpy that sums in another order fails here, and so does a Gram pass
+    that settles a row it has not proven: the adversarial inputs put rows
+    within its rounding bound or outside the range the bound covers."""
+    n, k, d, exponent, duplicates, seed, adversary = case
     rng = np.random.default_rng(seed)
-    scale = 10.0 ** exponent
+    scale = adversary if isinstance(adversary, float) else 10.0 ** exponent
     points = rng.standard_normal((n, d)) * scale
     centroids = rng.standard_normal((k, d)) * scale
     # repeated centroids tie exactly; argmin keeps the first
     centroids[k - duplicates:] = centroids[:duplicates]
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    assign = d2.argmin(axis=1)
-    sums = np.zeros_like(centroids)
-    np.add.at(sums, assign, points)
+    _adversarial(adversary, points, centroids, rng)
+    with np.errstate(all="ignore"):
+        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assign = d2.argmin(axis=1)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assign, points)
 
-    got = _squared_distances(points, np.ascontiguousarray(centroids.T))
-    assert np.array_equal(got, d2)
-    assert np.array_equal(nearest_centroid(points, centroids), assign)
-    got_assign, got_sums, got_counts = reference_kmeans_iteration(
-        points, centroids)
+        got = _squared_distances(points, np.ascontiguousarray(centroids.T))
+        assert np.array_equal(got, d2, equal_nan=True)
+        assert np.array_equal(nearest_centroid(points, centroids), assign)
+        got_assign, got_sums, got_counts = reference_kmeans_iteration(
+            points, centroids)
     assert np.array_equal(got_assign, assign)
-    assert np.array_equal(got_sums, sums)
+    assert np.array_equal(got_sums, sums, equal_nan=True)
     assert np.array_equal(got_counts, np.bincount(assign, minlength=k))
+
+
+def test_gram_pass_leaves_only_ties_to_the_exact_pass():
+    """On Gaussian blobs shaped like the kmeans-real workload (k = 64,
+    d = 8, sigma = 0.05) the Gram pass settles every row of three Lloyd
+    iterations.  Rows whose nearest centroid is duplicated tie exactly, so
+    they, and only they, are left to the exact pass."""
+    rng = np.random.default_rng(43)
+    k, d, n = 64, 8, 1 << 15
+    centers = rng.random((k, d))
+    points = (centers[rng.integers(k, size=n)]
+              + 0.05 * rng.standard_normal((n, d)))
+    centroids = points[rng.choice(n, size=k, replace=False)].copy()
+    for _ in range(3):
+        _, refine = _gram_settle(points, np.ascontiguousarray(centroids.T))
+        assert refine.size == 0
+        _, sums, counts = reference_kmeans_iteration(points, centroids)
+        centroids = np.where(counts[:, None] > 0,
+                             sums / np.maximum(counts[:, None], 1.0),
+                             centroids)
+
+    centroids[k - 8:] = centroids[:8]
+    _, refine = _gram_settle(points, np.ascontiguousarray(centroids.T))
+    tied = np.flatnonzero(nearest_centroid(points, centroids) < 8)
+    assert tied.size > 0
+    assert np.array_equal(refine, tied)
 
 
 def test_reference_iteration_memory_is_bounded():

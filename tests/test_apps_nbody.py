@@ -1,5 +1,7 @@
 """N-body application: kernel correctness and iterative distributed runs."""
 
+import tracemalloc
+
 import numpy as np
 
 from repro.apps.base import run_cashmere, run_satin
@@ -8,6 +10,7 @@ from repro.apps.nbody import (
     KERNELS_MIC,
     KERNELS_PERFECT,
     NBodyApp,
+    NBodyTask,
     reference_nbody_step,
     small_app,
 )
@@ -53,6 +56,22 @@ def test_mic_kernel_matches_reference():
     out, v = run_kernel(KERNELS_MIC, pos, vel)
     want_pos, _ = reference_nbody_step(pos, vel, 0.01)
     np.testing.assert_allclose(out[:, :3], want_pos[:, :3], rtol=1e-10)
+
+
+def test_leaf_batch_memory_is_bounded():
+    """One call computing all 8 leaves of 1024 bodies: the stacked rows
+    are walked in blocks, where a (1024, 1024, 3) broadcast peaks near
+    64 MiB."""
+    app = small_app(n_bodies=1024, leaf_bodies=128)
+    app._prepare_iteration()
+    leaves = [NBodyTask(0, lo, lo + 128) for lo in range(0, 1024, 128)]
+    tracemalloc.start()
+    try:
+        app.leaf_batch(leaves)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def sequential_steps(pos, vel, dt, iterations):
