@@ -93,10 +93,11 @@ _QUALIFIED_SINKS = frozenset({
 })
 
 #: method-name sinks (REP103): calls that schedule, enqueue or publish in
-#: argument order
+#: argument order, including the engine's own queue entry points
 _METHOD_SINKS = frozenset({
     "push", "send", "emit", "schedule", "process", "dispatch",
     "broadcast", "put", "put_nowait", "succeed", "submit",
+    "_schedule", "_schedule_front",
 })
 
 #: sanitizers: order-insensitive consumers / explicit ordering

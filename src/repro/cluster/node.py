@@ -13,7 +13,7 @@ from typing import Callable, Generator, List, Sequence
 
 from ..devices.device import SimDevice
 from ..devices.specs import HOST_CPU, CpuSpec, device_spec
-from ..sim.engine import Environment, Event, Timeout
+from ..sim.engine import Environment, Timeout
 from ..sim.network import Endpoint, Network
 from ..sim.resources import Resource
 
@@ -23,10 +23,11 @@ __all__ = ["ComputeNode"]
 class _DelayOp:
     """Occupy one core for ``seconds``, then call ``finish()`` — no Process.
 
-    A front-priority starter event claims the core (so it is claimed in
-    the same step the caller asked, ahead of later work queued at this
-    instant), then grant → Timeout → busy-accounting/obs/release →
-    ``finish()``, each at one queue pop.
+    Three hops (see :meth:`Environment._schedule`), each one queue pop: a
+    front-lane starter claims the core (so it is claimed in the step the
+    caller asked, ahead of later work queued at this instant); the grant
+    stamps the start; ``seconds`` later the last hop charges busy time,
+    emits the obs interval, releases the core and calls ``finish()``.
     """
 
     __slots__ = ("node", "seconds", "label", "finish", "req", "start")
@@ -37,30 +38,21 @@ class _DelayOp:
         self.seconds = seconds
         self.label = label
         self.finish = finish
-        self.req = None
         self.start = 0.0
-        env = node.env
-        starter = Event(env)
-        starter._ok = True
-        starter._value = None
-        starter.callbacks.append(self._begin)
-        env._schedule(starter, 0, front=True)
+        node.env._schedule_front(self._begin)
 
-    def _begin(self, _event: Event) -> None:
+    def _begin(self) -> None:
         if self.seconds <= 0:
             self.finish()
             return
-        req = self.node.cores.request()
-        req.callbacks.append(self._granted)
-        self.req = req
+        self.req = self.node.cores.request(self._granted)
 
-    def _granted(self, _event: Event) -> None:
+    def _granted(self) -> None:
         env = self.node.env
         self.start = env._now
-        hop = Timeout(env, self.seconds)
-        hop.callbacks.append(self._done)
+        env._schedule(self._done, self.seconds)
 
-    def _done(self, _event: Event) -> None:
+    def _done(self) -> None:
         node = self.node
         env = node.env
         self.node.busy_cpu_s += env._now - self.start

@@ -282,8 +282,8 @@ class CommChannel:
         resumes nobody on delivery.  For a sender with nothing left to do
         after the send (e.g. a steal reply)."""
         endpoint = self.endpoint
-        endpoint.network._begin(endpoint, dst, msg.WIRE_TAG, msg, nbytes,
-                                None)
+        endpoint.network._transfer(endpoint, dst, msg.WIRE_TAG, msg, nbytes,
+                                   None).start()
 
     def broadcast(self, msg: SatinMessage, nbytes: float,
                   ranks: Optional[Iterable[int]] = None) -> Generator:
@@ -335,30 +335,25 @@ class CommChannel:
 
     # -- receiving -----------------------------------------------------------
     def start_pump(self) -> None:
-        """Begin the node's receive loop: consume the mailbox via callbacks.
+        """Begin the node's receive loop: consume the mailbox via hops.
 
-        A front-priority starter arms the first mailbox getter; each
+        A front-lane starter hop arms the first mailbox getter; each
         delivered :class:`~repro.sim.network.Message` is decoded into its
         typed payload and routed to the registered handler, and the getter
         is re-armed right after the handler runs.  Messages whose type has
         no handler, and below-protocol traffic (app broadcasts etc.), are
         dropped.  A node crash ends the loop via :meth:`stop_pump`.
         """
-        env = self.env
-        starter = Event(env)
-        starter._ok = True
-        starter._value = None
-        starter.callbacks.append(lambda _e: self._arm())
-        env._schedule(starter, 0, front=True)
+        self.env._schedule_front(self._arm)
 
     def _arm(self) -> None:
-        get = self.endpoint.mailbox.get()
-        get.callbacks.append(self._pump)
-        self._pending_get = get
+        self._pending_get = self.endpoint.mailbox.get(hop=self._pump)
 
-    def _pump(self, event: Event) -> None:
-        wire = event._value
-        msg = wire.payload
+    def _pump(self) -> None:
+        get = self._pending_get
+        if get is None:
+            return  # stopped while this delivery was queued
+        msg = get._value.payload
         if isinstance(msg, SatinMessage):
             handler = self._handlers.get(type(msg))
             if handler is not None:
@@ -368,12 +363,6 @@ class CommChannel:
     def stop_pump(self) -> None:
         """Stop the pump (node crash): the armed getter stays registered,
         so it silently swallows at most one more delivered message, but
-        it runs no handler and never re-arms.  No-op when the pump never
-        started."""
-        get = self._pending_get
-        if get is not None and get.callbacks is not None:
-            try:
-                get.callbacks.remove(self._pump)
-            except ValueError:  # pragma: no cover - already delivered
-                pass
+        its hop runs no handler and never re-arms.  No-op when the pump
+        never started."""
         self._pending_get = None

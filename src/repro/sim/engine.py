@@ -7,15 +7,32 @@ Python generators that ``yield`` events; the environment advances a virtual
 clock from event to event.
 
 The engine is deliberately deterministic: events scheduled for the same
-virtual time fire in FIFO order of scheduling, so every simulated experiment
-is exactly reproducible given a seed for the model-level random generators.
+virtual time fire in FIFO order of scheduling (process starts, interrupts
+and starters ahead of the rest), so every simulated experiment is exactly
+reproducible given a seed for the model-level random generators.
+
+The queue is split the way asyncio's event loop splits its ready deque from
+its timer heap.  Work at the current instant waits in two FIFO lanes, the
+*front* lane (process starts, interrupts, starters) and the *ready* lane
+(everything else), and work at a later time waits in a ``(time, seq,
+item)`` heap.  The clock advances only when both lanes are empty, and then
+every heap item at the new time moves to the ready lane in ``seq`` order.
+That gives exactly the order of one heap sorted by ``(time, priority,
+seq)`` with priority 0 for the front lane: a heap item at ``T`` was pushed
+while the clock was below ``T``, so its ``seq`` precedes that of every
+ready item pushed at ``T``.  A queue item is
+an :class:`Event`, whose callbacks the run loop dispatches, or a *hop*: a
+zero-argument bound method the run loop calls directly, for internal steps
+that nothing else waits on (see :meth:`Environment._schedule`).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from collections import deque
+from types import MethodType
+from typing import Any, Callable, Deque, Generator, Iterable, List, Optional
 
 from ..obs.bus import EventBus
 
@@ -111,8 +128,7 @@ class Event:
         self._value = value
         # Inlined self.env._schedule(self) — succeed() fires once per
         # resolved event, millions of times per paper-scale run.
-        env = self.env
-        heapq.heappush(env._queue, (env._now, 1, next(env._seq), self))
+        self.env._ready.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -123,14 +139,14 @@ class Event:
             raise SimulationError("fail() needs an exception instance")
         self._ok = False
         self._value = exception
-        self.env._schedule(self)
+        self.env._ready.append(self)
         return self
 
     def trigger(self, event: "Event") -> None:
         """Trigger this event with the state of another (callback helper)."""
         self._ok = event._ok
         self._value = event._value
-        self.env._schedule(self)
+        self.env._ready.append(self)
 
     def _first_of_check(self, ev: "Event") -> None:
         """Callback used by :func:`first_of`: the first constituent to be
@@ -166,7 +182,13 @@ class Timeout(Event):
         self._delay = delay
         self._ok = True
         self._value = value
-        heapq.heappush(env._queue, (env._now + delay, 1, next(env._seq), self))
+        # Inlined env._schedule(self, delay).
+        now = env._now
+        when = now + delay
+        if when == now:
+            env._ready.append(self)
+        else:
+            heapq.heappush(env._heap, (when, next(env._seq), self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self._delay}>"
@@ -183,7 +205,7 @@ class Initialize(Event):
         self._defused = False
         self._ok = True
         self._value = None
-        env._schedule(self, 0, front=True)
+        env._front.append(self)
 
 
 class Process(Event):
@@ -209,11 +231,11 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw an :class:`Interrupt` into the process.
 
-        Delivery is deferred to an immediate front-priority event, and the
+        Delivery is deferred to an immediate front-lane event, and the
         unhooking from the process's current wait target happens at
         *delivery* time, not here.  That ordering matters for a process
         that has not started yet (its :class:`Initialize` event is still
-        queued): the initializer — also front-priority, queued earlier —
+        queued): the initializer — also in the front lane, queued earlier —
         fires first, the generator runs to its first ``yield`` (entering
         any ``try`` block that guards its loop), and only then is the
         interrupt thrown.  Unhooking eagerly would instead cancel the
@@ -229,7 +251,7 @@ class Process(Event):
         event._value = Interrupt(cause)
         event._defused = True
         event.callbacks.append(self._deliver_interrupt)
-        self.env._schedule(event, 0, front=True)
+        self.env._schedule_front(event)
 
     def _deliver_interrupt(self, event: Event) -> None:
         if not self.is_alive:
@@ -259,34 +281,35 @@ class Process(Event):
             except StopIteration as exc:
                 self._ok = True
                 self._value = exc.value
-                heapq.heappush(env._queue,
-                               (env._now, 1, next(env._seq), self))
+                env._ready.append(self)
                 break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
-                heapq.heappush(env._queue,
-                               (env._now, 1, next(env._seq), self))
+                env._ready.append(self)
                 break
 
             if not isinstance(next_event, Event):
-                generator.throw(
-                    SimulationError(f"process yielded non-event {next_event!r}")
-                )
-                continue
-            if next_event.env is not env:
-                generator.throw(
-                    SimulationError("event belongs to a different environment")
-                )
-                continue
-
-            if next_event.callbacks is not None:
+                error = SimulationError(
+                    f"process yielded non-event {next_event!r}")
+            elif next_event.env is not env:
+                error = SimulationError(
+                    "event belongs to a different environment")
+            elif next_event.callbacks is not None:
                 # Not yet processed: register and suspend.
                 next_event.callbacks.append(self._resume)
                 self._target = next_event
                 break
-            # Already processed: continue immediately with its value.
-            event = next_event
+            else:
+                # Already processed: continue immediately with its value.
+                event = next_event
+                continue
+            # A misused yield: throw the error into the generator through
+            # the failure path above, so a process that catches it goes on
+            # with what it yields next and one that does not fails.
+            event = Event(env)
+            event._ok = False
+            event._value = error
 
         env._active_proc = None
 
@@ -369,7 +392,7 @@ def first_of(env: "Environment", a: Event, b: Event) -> Event:
 
     Both constituents must be *pending, unprocessed* events of ``env``
     that can only succeed, never fail — exactly the shape those call
-    sites produce.  The returned event triggers at the same heap slot an
+    sites produce.  The returned event triggers at the same queue slot an
     ``AnyOf`` would (its ``succeed`` runs inside the first constituent's
     callback dispatch), so event streams are identical; only the
     condition bookkeeping (list copy, per-event env checks, the
@@ -394,10 +417,10 @@ def first_of(env: "Environment", a: Event, b: Event) -> Event:
 class Environment:
     """Holds the virtual clock and the event queue."""
 
-    # The clock, queue, and seq counter are touched on every event push
-    # and pop; slotted access shaves measurable time off paper-scale runs.
-    __slots__ = ("_now", "_queue", "_seq", "_active_proc", "_cb_pool",
-                 "events_processed", "obs")
+    # The clock, lanes, heap and seq counter are touched on every push and
+    # pop; slotted access shaves measurable time off paper-scale runs.
+    __slots__ = ("_now", "_front", "_ready", "_heap", "_seq", "_active_proc",
+                 "_cb_pool", "events_processed", "obs")
 
     #: upper bound on the recycled callback-list pool (plenty for the
     #: handful of events alive between two queue pops)
@@ -405,16 +428,23 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._queue: List = []  # (time, priority, seq, event)
+        #: items at ``now`` that precede every ready item: process starts,
+        #: interrupts and starters
+        self._front: Deque[Any] = deque()
+        #: the other items at ``now``, in scheduling order
+        self._ready: Deque[Any] = deque()
+        #: ``(time, seq, item)`` for every item after ``now``
+        self._heap: List = []
         self._seq = itertools.count()
         self._active_proc: Optional[Process] = None
         #: recycled callback lists: every processed event's (cleared) list
         #: is returned here and handed to the next event created, so the
         #: hot loop stops allocating one throwaway list per event
         self._cb_pool: List[List[Callable[["Event"], None]]] = []
-        #: events processed so far (each :meth:`step`, or loop iteration of
-        #: :meth:`run`, handles exactly one) — the repository benchmark in
-        #: ``bench/`` reads it as ``sim.engine.events``
+        #: queue items processed so far, events and hops alike (each
+        #: :meth:`step`, or loop iteration of :meth:`run`, handles exactly
+        #: one) — the repository benchmark in ``bench/`` reads it as
+        #: ``sim.engine.events``
         self.events_processed: int = 0
         #: observability event bus (repro.obs): disabled by default, so the
         #: instrumented call sites throughout the stack cost nothing.
@@ -446,21 +476,65 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling -----------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, front: bool = False) -> None:
-        priority = 0 if front else 1
-        heapq.heappush(self._queue, (self._now + delay, priority, next(self._seq), event))
+    def _schedule(self, item: Any, delay: float = 0.0) -> None:
+        """Queue ``item`` at ``now + delay``.
+
+        ``item`` is an :class:`Event`, whose callbacks run when it pops, or
+        a *hop*: a zero-argument bound method that the run loop calls with
+        no event, for an internal step that nothing else waits on (the
+        network's transfer chain, a core-occupying delay, a mailbox pump).
+        A hop pop counts in :attr:`events_processed` like an event pop.
+        The lane is chosen by the time, not by ``delay``: a delay that the
+        clock absorbs (``now + delay == now``) queues at ``now``.
+        """
+        now = self._now
+        when = now + delay
+        if when == now:
+            self._ready.append(item)
+        else:
+            heapq.heappush(self._heap, (when, next(self._seq), item))
+
+    def _schedule_front(self, item: Any) -> None:
+        """Queue ``item`` (an event or a hop) at ``now``, behind the other
+        front items but ahead of every ready item: a starter that must act
+        in the step that asked for it, before later work at this instant."""
+        self._front.append(item)
+
+    def _advance(self) -> Any:
+        """Move the clock to the earliest heap time and return its first
+        item; the other heap items at that time move to the ready lane in
+        ``seq`` order.  Both lanes must be empty."""
+        heap = self._heap
+        pop = heapq.heappop
+        when, _seq, item = pop(heap)
+        self._now = when
+        ready = self._ready
+        while heap and heap[0][0] == when:
+            ready.append(pop(heap)[2])
+        return item
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        """Time of the next queued item: ``now`` while the front or ready
+        lane holds one, else the earliest heap time, or ``inf`` if none."""
+        if self._front or self._ready:
+            return self._now
+        return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
-        """Process the next scheduled event."""
-        if not self._queue:
+        """Process the next queued item."""
+        if self._front:
+            item = self._front.popleft()
+        elif self._ready:
+            item = self._ready.popleft()
+        elif self._heap:
+            item = self._advance()
+        else:
             raise SimulationError("no more events")
-        when, _prio, _seq, event = heapq.heappop(self._queue)
-        self._now = when
         self.events_processed += 1
+        if type(item) is MethodType:
+            item()
+            return
+        event = item
         pool = self._cb_pool
         callbacks, event.callbacks = event.callbacks, None
         if len(callbacks) == 1:
@@ -489,48 +563,65 @@ class Environment:
         returning its value).
 
         The event form, which every runtime drives, inlines :meth:`step` —
-        paper-scale runs process tens of millions of events, so one method
-        call plus re-resolved attribute lookups per event is measurable
-        wall-clock.  Its semantics (FIFO order at equal time, failure
+        paper-scale runs process tens of millions of queue items, so one
+        method call plus re-resolved attribute lookups per item is
+        measurable wall-clock.  Its semantics (lane order, failure
         propagation) are exactly :meth:`step`'s, which the other two forms
         call.
         """
-        queue = self._queue
+        front = self._front
+        ready = self._ready
+        heap = self._heap
         if until is None:
-            while queue:
+            while front or ready or heap:
                 self.step()
             return None
         if isinstance(until, Event):
             pop = heapq.heappop
+            pop_front = front.popleft
+            pop_ready = ready.popleft
+            push_ready = ready.append
+            hop_type = MethodType
             pool = self._cb_pool
             pool_max = self._CB_POOL_MAX
             steps = 0
             target = until
             try:
                 while target.callbacks is not None:  # i.e. not yet processed
-                    if not queue:
+                    if front:
+                        item = pop_front()
+                    elif ready:
+                        item = pop_ready()
+                    elif heap:
+                        # Inlined self._advance().
+                        when, _seq, item = pop(heap)
+                        self._now = when
+                        while heap and heap[0][0] == when:
+                            push_ready(pop(heap)[2])
+                    else:
                         raise SimulationError(
                             f"event queue empty before {target!r} triggered "
                             "(deadlock?)"
                         )
-                    when, _prio, _seq, event = pop(queue)
-                    self._now = when
                     steps += 1
-                    callbacks, event.callbacks = event.callbacks, None
+                    if type(item) is hop_type:
+                        item()
+                        continue
+                    callbacks, item.callbacks = item.callbacks, None
                     if len(callbacks) == 1:
                         cb = callbacks[0]
                         callbacks.clear()
                         if len(pool) < pool_max:
                             pool.append(callbacks)
-                        cb(event)
+                        cb(item)
                     else:
                         for cb in callbacks:
-                            cb(event)
+                            cb(item)
                         callbacks.clear()
                         if len(pool) < pool_max:
                             pool.append(callbacks)
-                    if not event._ok and not event._defused:
-                        raise event._value
+                    if not item._ok and not item._defused:
+                        raise item._value
             finally:
                 self.events_processed += steps
             if not target._ok:
@@ -539,9 +630,9 @@ class Environment:
         stop_at = float(until)
         if stop_at < self._now:
             raise SimulationError("cannot run into the past")
-        # Events scheduled *exactly at* ``stop_at`` are processed; the
-        # clock then lands on ``stop_at``.
-        while queue and queue[0][0] <= stop_at:
+        # Items queued *exactly at* ``stop_at`` are processed; the clock
+        # then lands on ``stop_at``.
+        while front or ready or (heap and heap[0][0] <= stop_at):
             self.step()
         self._now = stop_at
         return None

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, Iterable, Optional
 
-from .engine import Environment, Event, SimulationError, Timeout
+from .engine import Environment, Event, SimulationError
 from .resources import Resource, Store
 
 
@@ -111,20 +111,22 @@ class Endpoint:
 
 
 class _TransmitOp:
-    """One in-flight transfer, driven by a chain of event callbacks.
+    """One in-flight transfer, driven by a chain of hops.
 
-    A transfer takes four hops, each a queue pop that calls one method:
+    Each step is a hop (a zero-argument bound method queued on the engine,
+    see :meth:`Environment._schedule`), so no ``Event`` is built per step.
+    A transfer takes three queue pops, and the receiver's mailbox getter a
+    fourth:
 
-    1. **grant** — the sender's NIC request (made in ``__init__``) is
-       granted; :meth:`_granted` starts serialization.
-    2. **serialize** — a ``Timeout`` of per-message overhead plus
-       ``nbytes / bandwidth`` occupies the NIC; :meth:`_ser_done` frees it
-       and starts the fabric latency.
-    3. **latency** — a ``Timeout`` of ``latency_s`` that does not occupy
-       the NIC; :meth:`_deliver` runs when it pops.
-    4. **deliver** — byte/message counters and the ``send`` obs interval
-       are charged, the message lands in the receiver's mailbox, and a
-       blocking caller's ``done`` event succeeds with the message.
+    1. **grant** — :meth:`start` claims the sender's NIC; when the claim is
+       granted, :meth:`_granted` starts serialization.
+    2. **serialize** — per-message overhead plus ``nbytes / bandwidth``
+       later, with the NIC held, :meth:`_ser_done` frees it and starts the
+       fabric latency.
+    3. **latency** — ``latency_s`` later, without the NIC,
+       :meth:`_deliver` charges the byte/message counters and the ``send``
+       obs interval, lands the message in the receiver's mailbox, and
+       succeeds a blocking caller's ``done`` event with the message.
 
     No process exists per transfer: only a blocking caller waiting on
     ``done`` is resumed.  Fire-and-forget sends (``done is None``) resume
@@ -132,8 +134,8 @@ class _TransmitOp:
 
     Interrupts: a blocking caller's ``transmit`` calls :meth:`cancel` from
     its ``finally`` when interrupted mid-transfer, which frees the NIC at
-    interrupt-delivery time and marks the op dead so the hop events
-    already queued pop inert.
+    interrupt-delivery time and marks the op dead so the hops already
+    queued pop inert.
     """
 
     __slots__ = ("network", "src_ep", "dst_ep", "msg", "nbytes", "done",
@@ -150,9 +152,12 @@ class _TransmitOp:
         self.inject_start = 0.0
         self.dead = False
         self.released = False
-        req = src_ep.nic.request()
-        req.callbacks.append(self._granted)
-        self.req = req
+
+    def start(self) -> None:
+        """Claim the sender's NIC as ``req``; the grant runs
+        :meth:`_granted`.  Every transfer starts before any other method
+        of the op runs."""
+        self.req = self.src_ep.nic.request(self._granted)
 
     def cancel(self) -> None:
         """Abort the transfer: free the NIC *now*."""
@@ -163,7 +168,7 @@ class _TransmitOp:
             # withdraws the queued claim.  Granted: frees the slot.
             self.src_ep.nic.release(self.req)
 
-    def _granted(self, _event: Event) -> None:
+    def _granted(self) -> None:
         if self.dead:
             return
         network = self.network
@@ -171,11 +176,11 @@ class _TransmitOp:
         spec = network.spec
         # Serialization occupies the sender's injection link.
         self.inject_start = env._now
-        hop = Timeout(env, spec.per_message_overhead_s
+        env._schedule(self._ser_done,
+                      spec.per_message_overhead_s
                       + self.nbytes / spec.bandwidth_bps)
-        hop.callbacks.append(self._ser_done)
 
-    def _ser_done(self, _event: Event) -> None:
+    def _ser_done(self) -> None:
         if not self.released:
             self.released = True
             self.src_ep.nic.release(self.req)
@@ -183,10 +188,9 @@ class _TransmitOp:
             return
         network = self.network
         # Fabric latency does not occupy the NIC.
-        hop = Timeout(network.env, network.spec.latency_s)
-        hop.callbacks.append(self._deliver)
+        network.env._schedule(self._deliver, network.spec.latency_s)
 
-    def _deliver(self, _event: Event) -> None:
+    def _deliver(self) -> None:
         if self.dead:
             return
         network = self.network
@@ -244,9 +248,9 @@ class Network:
         self.endpoints[rank] = ep
         return ep
 
-    def _begin(self, src_ep: Endpoint, dst: int, tag: str, payload: Any,
-               nbytes: float, done: Optional[Event]) -> _TransmitOp:
-        """Start a transfer; returns the op driving it."""
+    def _transfer(self, src_ep: Endpoint, dst: int, tag: str, payload: Any,
+                  nbytes: float, done: Optional[Event]) -> _TransmitOp:
+        """Build a transfer; its :meth:`_TransmitOp.start` claims the NIC."""
         dst_ep = self.endpoints.get(dst)
         if dst_ep is None:
             raise SimulationError(f"no endpoint with rank {dst}")
@@ -258,24 +262,20 @@ class Network:
              payload: Any, nbytes: float) -> None:
         """Fire-and-forget transfer, no Process spawned.
 
-        The NIC is claimed by a front-priority starter event rather than
-        inline, so a caller's subsequent sends in the same step queue
-        behind it in the same order as ``env.process(network.transmit(...))``
-        would put them.
+        The NIC is claimed by a front-lane starter hop rather than inline,
+        so a caller's subsequent sends in the same step queue behind it in
+        the same order as ``env.process(network.transmit(...))`` would put
+        them.
         """
-        env = self.env
-        starter = Event(env)
-        starter._ok = True
-        starter._value = None
-        starter.callbacks.append(
-            lambda _e: self._begin(src_ep, dst, tag, payload, nbytes, None))
-        env._schedule(starter, 0, front=True)
+        op = self._transfer(src_ep, dst, tag, payload, nbytes, None)
+        self.env._schedule_front(op.start)
 
     def transmit(self, src_ep: Endpoint, dst: int, tag: str,
                  payload: Any, nbytes: float) -> Generator:
         """Process body implementing one message transfer."""
         done = Event(self.env)
-        op = self._begin(src_ep, dst, tag, payload, nbytes, done)
+        op = self._transfer(src_ep, dst, tag, payload, nbytes, done)
+        op.start()
         try:
             result = yield done
         finally:

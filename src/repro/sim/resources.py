@@ -17,28 +17,53 @@ __all__ = ["Resource", "Store", "PriorityStore", "Container"]
 
 
 class _Request(Event):
-    """A pending claim on a resource slot; usable as a context manager."""
+    """A pending claim on a resource slot; usable as a context manager.
 
-    __slots__ = ("resource",)
+    A claim made with a ``hop`` (a zero-argument bound method, see
+    :meth:`Environment._schedule`) is granted by queueing the hop in the
+    slot its grant event would take.  It has no callback list: nothing
+    waits on it, and the hop's owner keeps it to release the slot.
+    """
 
-    def __init__(self, resource: "Resource"):
+    __slots__ = ("resource", "hop")
+
+    def __init__(self, resource: "Resource",
+                 hop: Optional[Callable[[], None]] = None):
         # Inlined Event.__init__ — one _Request per cpu_delay/NIC claim
         # makes this one of the hottest allocations of a run.
         env = resource.env
         self.env = env
-        pool = env._cb_pool
-        self.callbacks = pool.pop() if pool else []
+        if hop is None:
+            pool = env._cb_pool
+            self.callbacks = pool.pop() if pool else []
+        else:
+            self.callbacks = None
         self._value = _PENDING
         self._ok = True
         self._defused = False
         self.resource = resource
+        self.hop = hop
         # Uncontended grant inline (what _trigger would do, minus the
         # queue round-trip) — the common case for CPU cores and NICs.
         if len(resource._users) < resource.capacity and not resource._queue:
             resource._users.append(self)
-            self.succeed(self)
+            self._grant()
         else:
             resource._queue.append(self)
+
+    def _grant(self) -> None:
+        """Trigger the claim (its value is itself), or queue its hop."""
+        hop = self.hop
+        if hop is None:
+            self._value = self
+            self.env._ready.append(self)
+        else:
+            # The hop's owner holds this claim, so keeping the hop, or the
+            # claim as its own value, would leave a reference cycle per
+            # claim for the collector.
+            self._value = None
+            self.hop = None
+            self.env._ready.append(hop)
 
     def __enter__(self) -> "_Request":
         return self
@@ -70,8 +95,10 @@ class Resource:
         """Number of slots currently in use."""
         return len(self._users)
 
-    def request(self) -> _Request:
-        return _Request(self)
+    def request(self, hop: Optional[Callable[[], None]] = None) -> _Request:
+        """Claim a slot; with ``hop``, the grant calls it instead of
+        triggering the request (see :class:`_Request`)."""
+        return _Request(self, hop)
 
     def release(self, request: _Request) -> None:
         try:
@@ -87,23 +114,38 @@ class Resource:
         while queue and len(users) < capacity:
             req = queue.popleft()
             users.append(req)
-            req.succeed(req)
+            req._grant()
 
 
 class _StoreGet(Event):
-    __slots__ = ("filt",)
+    """A pending get; with a ``hop``, the grant queues the hop instead of
+    triggering the get (as for a :class:`_Request`), and the hop reads the
+    item from the get's ``_value``."""
 
-    def __init__(self, store: "Store", filt: Optional[Callable[[Any], bool]] = None):
+    __slots__ = ("filt", "hop")
+
+    def __init__(self, store: "Store", filt: Optional[Callable[[Any], bool]] = None,
+                 hop: Optional[Callable[[], None]] = None):
         env = store.env
         self.env = env
-        pool = env._cb_pool
-        self.callbacks = pool.pop() if pool else []
+        if hop is None:
+            pool = env._cb_pool
+            self.callbacks = pool.pop() if pool else []
+        else:
+            self.callbacks = None
         self._value = _PENDING
         self._ok = True
         self._defused = False
         self.filt = filt
+        self.hop = hop
         store._getters.append(self)
         store._trigger()
+
+    def _grant(self, item: Any) -> None:
+        """Trigger the get with ``item``, or queue its hop."""
+        self._value = item
+        hop = self.hop
+        self.env._ready.append(self if hop is None else hop)
 
 
 class _StorePut(Event):
@@ -138,9 +180,11 @@ class Store:
     def put(self, item: Any) -> _StorePut:
         return _StorePut(self, item)
 
-    def get(self, filt: Optional[Callable[[Any], bool]] = None) -> _StoreGet:
-        """Get the first item (matching ``filt`` if given)."""
-        return _StoreGet(self, filt)
+    def get(self, filt: Optional[Callable[[Any], bool]] = None,
+            hop: Optional[Callable[[], None]] = None) -> _StoreGet:
+        """Get the first item (matching ``filt`` if given); with ``hop``,
+        the grant calls it instead of triggering the get."""
+        return _StoreGet(self, filt, hop)
 
     def _insert(self, item: Any) -> None:
         self.items.append(item)
@@ -172,13 +216,13 @@ class Store:
                 filt = get.filt
                 if filt is None:
                     del getters[0]
-                    get.succeed(items.pop(0))
+                    get._grant(items.pop(0))
                     return
                 for item in items:
                     if filt(item):
                         del getters[0]
                         items.remove(item)
-                        get.succeed(item)
+                        get._grant(item)
                         return
                 return
         progress = True
@@ -206,7 +250,7 @@ class Store:
                 if matched is not None:
                     items.remove(matched)
                     getters.remove(get)
-                    get.succeed(matched)
+                    get._grant(matched)
                     progress = True
 
 

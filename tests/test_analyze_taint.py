@@ -208,6 +208,19 @@ def test_method_sinks(sink):
     """) == ["REP103"]
 
 
+def test_engine_queue_entry_points_are_sinks():
+    # Hops or events queued from a hash-ordered loop fire in hash order.
+    assert _codes("""
+        def f(env, ops):
+            for op in set(ops):
+                env._schedule(op.step, 1.0)
+            for op in {o for o in ops}:
+                env._schedule_front(op.start)
+            for op in sorted(set(ops), key=lambda o: o.rank):
+                env._schedule(op.step)
+    """) == ["REP103", "REP103"]
+
+
 def test_heapq_sinks():
     assert _codes("""
         import heapq

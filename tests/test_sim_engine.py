@@ -1,6 +1,11 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import heapq
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     Environment,
@@ -245,9 +250,260 @@ def test_yield_non_event_raises_in_process():
         env.run()
 
 
+def test_yielding_non_event_throws_into_a_process_that_catches_it():
+    env = Environment()
+    log = []
+
+    def proc():
+        try:
+            yield 42
+        except SimulationError:
+            log.append(("caught", env.now))
+        value = yield env.timeout(5, value="t5")
+        log.append((env.now, value))
+
+    env.process(proc())
+    env.run()
+    assert log == [("caught", 0), (5, "t5")]
+
+
+def test_yielding_non_event_fails_a_process_that_does_not_catch_it():
+    env = Environment()
+
+    def bad():
+        yield 42
+
+    def waiter(p):
+        try:
+            yield p
+        except SimulationError as exc:
+            return (env.now, str(exc))
+
+    b = env.process(bad())
+    w = env.process(waiter(b))
+    assert env.run(w) == (0, "process yielded non-event 42")
+    assert not b.is_alive
+    assert not b.ok
+    assert env.active_process is None
+
+
 def test_peek_reports_next_event_time():
     env = Environment()
     env.timeout(7)
     assert env.peek() == 7
+    env.event().succeed()  # ready work at now
+    assert env.peek() == 0
+    env.run(until=3)
+    assert env.peek() == 7
+
+    def proc():
+        yield env.timeout(1)
+
+    env.process(proc())  # its start is front work at now
+    assert env.peek() == 3
+    env.step()
+    assert env.peek() == 4
     env.run()
     assert env.peek() == float("inf")
+
+
+def test_run_until_fires_ready_work_before_landing_on_the_stop():
+    env = Environment()
+    seen = []
+    ev = env.event()
+    ev.callbacks.append(lambda e: seen.append(env.now))
+    ev.succeed()
+    env.run(until=5)
+    assert seen == [0]
+    assert env.now == 5
+    assert env.events_processed == 1
+
+
+# ---------------------------------------------------------------------------
+# dispatch order against the single-heap reference model
+# ---------------------------------------------------------------------------
+#
+# A drawn program is a list of root actions plus one action script per
+# created item.  Every item gets the next label when it is created and,
+# when it fires, logs ``(label, now)`` and performs its script.  The same
+# program runs on the engine and on a reference model: one heap sorted by
+# ``(time, priority, seq)``, priority 0 for process starts, interrupts and
+# starters and 1 for the rest, whose order the engine's front lane, ready
+# lane and timer heap must reproduce.  Both logs and both pop counts must
+# agree.
+
+# 0.1 + 0.2 ties 0.30000000000000004 exactly; 1e20 absorbs later delays
+_DELAYS = [0.0, 0.1, 0.2, 0.30000000000000004, 0.3, 1.0, 1e20]
+
+_ACTION = st.one_of(
+    st.tuples(st.just("timeout"), st.sampled_from(_DELAYS)),
+    st.tuples(st.just("hop"), st.sampled_from(_DELAYS)),
+    st.sampled_from([("succeed",), ("fail",), ("process",), ("sleeper",),
+                     ("front",)]),
+    st.tuples(st.just("interrupt"), st.integers(0, 7)),
+)
+_SCRIPTS = st.lists(st.lists(_ACTION, max_size=3), max_size=40)
+
+
+class _Hop:
+    """Owner of a hop: :meth:`fire` is a zero-argument bound method."""
+
+    def __init__(self, fire_label, label):
+        self.fire_label = fire_label
+        self.label = label
+
+    def fire(self):
+        self.fire_label(self.label)
+
+
+def _run_engine(initial, root, scripts, stops, final):
+    env = Environment(initial)
+    log = []
+    labels = itertools.count()
+    sleepers = []
+
+    def fire(n):
+        log.append((n, env.now))
+        for action in scripts[n] if n < len(scripts) else ():
+            perform(action)
+
+    def on_fail(event, n):
+        event._defused = True
+        fire(n)
+
+    def ended(n):
+        return lambda _e: log.append(("end", n, env.now))
+
+    def body(n):
+        fire(n)
+        return
+        yield  # pragma: no cover - makes this a generator
+
+    def sleeper(n):
+        log.append(("start", n, env.now))
+        try:
+            yield env.event()
+        except Interrupt:
+            log.append(("interrupted", n, env.now))
+
+    def perform(action):
+        kind, n = action[0], next(labels)
+        if kind == "timeout":
+            env.timeout(action[1]).callbacks.append(lambda _e: fire(n))
+        elif kind == "hop":
+            env._schedule(_Hop(fire, n).fire, action[1])
+        elif kind == "front":
+            env._schedule_front(_Hop(fire, n).fire)
+        elif kind == "succeed":
+            ev = env.event()
+            ev.callbacks.append(lambda _e: fire(n))
+            ev.succeed()
+        elif kind == "fail":
+            ev = env.event()
+            ev.callbacks.append(lambda e: on_fail(e, n))
+            ev.fail(ValueError(n))
+        elif kind == "process":
+            env.process(body(n)).callbacks.append(ended(n))
+        elif kind == "sleeper":
+            proc = env.process(sleeper(n))
+            proc.callbacks.append(ended(n))
+            sleepers.append(proc)
+        elif sleepers:  # interrupt
+            sleepers[action[1] % len(sleepers)].interrupt()
+
+    for action in root:
+        perform(action)
+    for stop in stops:
+        env.run(until=stop)
+        log.append(("stop", env.now, env.peek()))
+    if final == "exhaust":
+        env.run()
+    else:
+        with pytest.raises(SimulationError, match="deadlock"):
+            env.run(until=env.event())
+    return log, env.events_processed
+
+
+def _run_reference(initial, root, scripts, stops):
+    heap = []
+    seq = itertools.count()
+    labels = itertools.count()
+    log = []
+    sleepers = []
+    alive = {}
+    now = initial
+    pops = 0
+
+    def push(when, priority, fn):
+        heapq.heappush(heap, (when, priority, next(seq), fn))
+
+    def fire(n):
+        log.append((n, now))
+        for action in scripts[n] if n < len(scripts) else ():
+            perform(action)
+
+    def end(n):
+        log.append(("end", n, now))
+
+    def start(n):
+        fire(n)
+        push(now, 1, lambda: end(n))
+
+    def wake(n):
+        log.append(("start", n, now))
+
+    def deliver(n):
+        if alive[n]:
+            alive[n] = False
+            log.append(("interrupted", n, now))
+            push(now, 1, lambda: end(n))
+
+    def perform(action):
+        kind, n = action[0], next(labels)
+        if kind in ("timeout", "hop"):
+            push(now + action[1], 1, lambda: fire(n))
+        elif kind == "front":
+            push(now, 0, lambda: fire(n))
+        elif kind in ("succeed", "fail"):
+            push(now, 1, lambda: fire(n))
+        elif kind == "process":
+            push(now, 0, lambda: start(n))
+        elif kind == "sleeper":
+            alive[n] = True
+            sleepers.append(n)
+            push(now, 0, lambda: wake(n))
+        elif sleepers:  # interrupt
+            target = sleepers[action[1] % len(sleepers)]
+            if alive[target]:
+                push(now, 0, lambda: deliver(target))
+
+    def run(stop=None):
+        nonlocal now, pops
+        while heap and (stop is None or heap[0][0] <= stop):
+            now, _prio, _seq, fn = heapq.heappop(heap)
+            pops += 1
+            fn()
+
+    for action in root:
+        perform(action)
+    for stop in stops:
+        run(stop)
+        now = stop
+        log.append(("stop", now, heap[0][0] if heap else float("inf")))
+    run()
+    return log, pops
+
+
+@settings(max_examples=300, deadline=None)
+@given(initial=st.sampled_from([0.0, 1e20]),
+       root=st.lists(_ACTION, min_size=1, max_size=6),
+       scripts=_SCRIPTS,
+       offsets=st.lists(st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.5, 1e20]),
+                        max_size=3),
+       final=st.sampled_from(["exhaust", "event"]))
+def test_dispatch_order_matches_single_heap_reference(initial, root, scripts,
+                                                      offsets, final):
+    stops = sorted(initial + offset for offset in offsets)
+    engine = _run_engine(initial, root, scripts, stops, final)
+    reference = _run_reference(initial, root, scripts, stops)
+    assert engine == reference

@@ -1,5 +1,8 @@
 """Unit tests for simulation resources: Resource, Store, Container."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import Container, Environment, PriorityStore, Resource, SimulationError, Store
@@ -50,6 +53,46 @@ def test_resource_context_manager_releases():
         return res.count
 
     assert env.run(env.process(user())) == 0
+
+
+def test_hop_claims_grant_in_fifo_order_and_free_their_owner():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    log = []
+
+    class Holder:
+        def __init__(self, name, hold):
+            self.name = name
+            self.hold = hold
+            self.req = res.request(self.granted)
+
+        def granted(self):
+            log.append((self.name, env.now))
+            env._schedule(self.done, self.hold)
+
+        def done(self):
+            res.release(self.req)
+
+    def user():
+        with (yield res.request()):
+            log.append(("proc", env.now))
+            yield env.timeout(1)
+
+    gc.disable()  # the owners must be freed by reference counting alone
+    try:
+        a = Holder("a", 2)
+        env.process(user())  # claims at its start, behind b
+        b = Holder("b", 1)
+        refs = [weakref.ref(a), weakref.ref(b)]
+        env.run()
+        del a, b
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+    assert log == [("a", 0), ("b", 2), ("proc", 3)]
+    # process start, two pops per holder, the process's grant and
+    # timeout, and its completion
+    assert env.events_processed == 8
 
 
 def test_resource_invalid_capacity():
