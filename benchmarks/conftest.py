@@ -19,9 +19,6 @@ def results_dir() -> pathlib.Path:
     return pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
-RESULTS_DIR = results_dir()
-
-
 def bench_node_counts():
     """Node counts from ``REPRO_BENCH_NODE_COUNTS``, validated.
 
@@ -47,23 +44,12 @@ def bench_node_counts():
     return tuple(sorted(set(counts)))
 
 
-def record(result) -> str:
-    """Print an ExperimentResult, persist its table and SVG figures."""
-    from repro.experiments.figures import svgs_for
+def record(result) -> None:
+    """Persist an ExperimentResult's table and SVG figures, and print the
+    table as written."""
+    from repro.experiments.artifacts import save_artifacts
 
-    rendered = result.render()
-    extra_keys = ("fig16", "fig17")
-    blocks = [rendered]
-    for key in extra_keys:
-        if key in result.extra:
-            blocks.append(f"\n--- {key} ---\n{result.extra[key]}")
-    text = "\n".join(blocks)
     # re-read the env var at call time so a test can redirect one run
-    out_dir = results_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{result.experiment_id}.txt").write_text(text + "\n")
-    for name, svg in svgs_for(result).items():
-        (out_dir / f"{name}.svg").write_text(svg)
+    table = save_artifacts(result, results_dir())[0]
     print()
-    print(text)
-    return rendered
+    print(pathlib.Path(table).read_text(), end="")

@@ -93,11 +93,12 @@ _QUALIFIED_SINKS = frozenset({
 })
 
 #: method-name sinks (REP103): calls that schedule, enqueue or publish in
-#: argument order, including the engine's own queue entry points
+#: argument order, including the engine's own queue entry points and an
+#: endpoint's receiver ``arm``
 _METHOD_SINKS = frozenset({
     "push", "send", "emit", "schedule", "process", "dispatch",
-    "broadcast", "put", "put_nowait", "succeed", "submit",
-    "_schedule", "_schedule_front",
+    "broadcast", "put", "succeed", "submit",
+    "_schedule", "_schedule_front", "arm",
 })
 
 #: sanitizers: order-insensitive consumers / explicit ordering

@@ -13,7 +13,7 @@ from typing import Callable, Generator, List, Sequence
 
 from ..devices.device import SimDevice
 from ..devices.specs import HOST_CPU, CpuSpec, device_spec
-from ..sim.engine import Environment, Timeout
+from ..sim.engine import Environment
 from ..sim.network import Endpoint, Network
 from ..sim.resources import Resource
 
@@ -26,8 +26,9 @@ class _DelayOp:
     Three hops (see :meth:`Environment._schedule`), each one queue pop: a
     front-lane starter claims the core (so it is claimed in the step the
     caller asked, ahead of later work queued at this instant); the grant
-    stamps the start; ``seconds`` later the last hop charges busy time,
-    emits the obs interval, releases the core and calls ``finish()``.
+    stamps the start; ``seconds`` later the last hop charges the core's
+    busy span (:meth:`ComputeNode._charge_cpu`), releases the core and
+    calls ``finish()``.
     """
 
     __slots__ = ("node", "seconds", "label", "finish", "req", "start")
@@ -54,12 +55,7 @@ class _DelayOp:
 
     def _done(self) -> None:
         node = self.node
-        env = node.env
-        self.node.busy_cpu_s += env._now - self.start
-        obs = env.obs
-        if obs.enabled:
-            obs.emit("cpu", node=node.rank, lane=f"{node.name}/cpu",
-                     start=self.start, end=env._now, label=self.label)
+        node._charge_cpu(self.start, self.label)
         node.cores.release(self.req)
         self.finish()
 
@@ -98,14 +94,8 @@ class ComputeNode:
         This is how original-Satin leaves execute; it occupies one of the
         node's 8 cores for flops / sustained-single-core-rate seconds.
         """
-        with (yield self.cores.request()):
-            start = self.env.now
-            yield self.env.timeout(flops / self.cpu.core_flops)
-            self.busy_cpu_s += self.env.now - start
-            obs = self.env.obs
-            if obs.enabled:
-                obs.emit("cpu", node=self.rank, lane=f"{self.name}/cpu",
-                         start=start, end=self.env.now, label=label)
+        start = yield from self.cores.hold(flops / self.cpu.core_flops)
+        self._charge_cpu(start, label)
 
     def cpu_delay_async(self, seconds: float, label: str,
                         finish: Callable[[], None]) -> None:
@@ -117,21 +107,18 @@ class ComputeNode:
         """Process: occupy one core for a fixed time (protocol overheads)."""
         if seconds <= 0:
             return
-        # Hot path (every protocol overhead charges a core): explicit
-        # release instead of the context manager, direct Timeout.
+        start = yield from self.cores.hold(seconds)
+        self._charge_cpu(start, label)
+
+    def _charge_cpu(self, start: float, label: str) -> None:
+        """Charge one core busy from ``start`` to now, and emit the span as
+        a ``cpu`` interval."""
         env = self.env
-        cores = self.cores
-        req = yield cores.request()
-        try:
-            start = env.now
-            yield Timeout(env, seconds)
-            self.busy_cpu_s += env.now - start
-            obs = env.obs
-            if obs.enabled:
-                obs.emit("cpu", node=self.rank, lane=f"{self.name}/cpu",
-                         start=start, end=env.now, label=label)
-        finally:
-            cores.release(req)
+        self.busy_cpu_s += env._now - start
+        obs = env.obs
+        if obs.enabled:
+            obs.emit("cpu", node=self.rank, lane=f"{self.name}/cpu",
+                     start=start, end=env._now, label=label)
 
     def __repr__(self) -> str:
         devs = ",".join(self.device_names) or "cpu-only"

@@ -92,44 +92,38 @@ class SimDevice:
         """Process: host-to-device transfer over PCIe."""
         if nbytes <= 0:
             return
-        with (yield self.h2d_engine.request()):
-            start = self.env.now
-            yield self.env.timeout(transfer_time(nbytes, self.spec))
-            obs = self.env.obs
-            if obs.enabled:
-                obs.emit("h2d", node=self.node_rank, lane=f"{self.lane}/h2d",
-                         start=start, end=self.env.now, label=label,
-                         nbytes=nbytes)
+        start = yield from self.h2d_engine.hold(transfer_time(nbytes, self.spec))
+        obs = self.env.obs
+        if obs.enabled:
+            obs.emit("h2d", node=self.node_rank, lane=f"{self.lane}/h2d",
+                     start=start, end=self.env.now, label=label,
+                     nbytes=nbytes)
 
     def copy_from_device(self, nbytes: float, label: str = "d2h") -> Generator:
         """Process: device-to-host transfer over PCIe."""
         if nbytes <= 0:
             return
-        with (yield self.d2h_engine.request()):
-            start = self.env.now
-            yield self.env.timeout(transfer_time(nbytes, self.spec))
-            obs = self.env.obs
-            if obs.enabled:
-                obs.emit("d2h", node=self.node_rank, lane=f"{self.lane}/d2h",
-                         start=start, end=self.env.now, label=label,
-                         nbytes=nbytes)
+        start = yield from self.d2h_engine.hold(transfer_time(nbytes, self.spec))
+        obs = self.env.obs
+        if obs.enabled:
+            obs.emit("d2h", node=self.node_rank, lane=f"{self.lane}/d2h",
+                     start=start, end=self.env.now, label=label,
+                     nbytes=nbytes)
 
     def run_kernel(self, profile: KernelProfile, label: Optional[str] = None) -> Generator:
         """Process: execute one kernel launch; returns the measured time."""
-        with (yield self.compute_engine.request()):
-            start = self.env.now
-            duration = kernel_time(profile, self.spec)
-            yield self.env.timeout(duration)
-            self.busy_kernel_s += duration
-            self.measured_times[profile.name] = duration
-            self.launch_counts[profile.name] = self.launch_counts.get(profile.name, 0) + 1
-            obs = self.env.obs
-            if obs.enabled:
-                obs.emit("kernel", node=self.node_rank,
-                         lane=f"{self.lane}/kernel",
-                         start=start, end=self.env.now,
-                         label=label or profile.name, kernel=profile.name,
-                         device=self.spec.name, flops=profile.flops)
+        duration = kernel_time(profile, self.spec)
+        start = yield from self.compute_engine.hold(duration)
+        self.busy_kernel_s += duration
+        self.measured_times[profile.name] = duration
+        self.launch_counts[profile.name] = self.launch_counts.get(profile.name, 0) + 1
+        obs = self.env.obs
+        if obs.enabled:
+            obs.emit("kernel", node=self.node_rank,
+                     lane=f"{self.lane}/kernel",
+                     start=start, end=self.env.now,
+                     label=label or profile.name, kernel=profile.name,
+                     device=self.spec.name, flops=profile.flops)
         return duration
 
     # -- the launch sequence -----------------------------------------------

@@ -318,16 +318,9 @@ class _CostWalker:
             except _Unknown:
                 loop_env[var] = 0.0
         # Pattern: (a conjunction of) i < bound, with a linear step.
-        def conjuncts(expr):
-            if isinstance(expr, ast.Binary) and expr.op == "&&":
-                yield from conjuncts(expr.left)
-                yield from conjuncts(expr.right)
-            else:
-                yield expr
-
         bounds = []
-        if var is not None and stmt.cond is not None:
-            for c in conjuncts(stmt.cond):
+        if var is not None:
+            for c in ast.conjuncts(stmt.cond):
                 if (isinstance(c, ast.Binary) and c.op in ("<", "<=")
                         and isinstance(c.left, ast.Var) and c.left.name == var):
                     try:

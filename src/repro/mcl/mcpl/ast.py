@@ -8,7 +8,8 @@ and to derive work-group configurations and transfer sizes.
 :func:`walk` enumerates a subtree from one table of each node class's
 children.  Analyses that only visit nodes or collect names filter it (or
 :func:`names`) instead of recursing themselves; evaluators, printers and
-interpreters keep their per-node dispatch.
+interpreters keep their per-node dispatch.  :func:`conjuncts` splits a
+loop condition into the operands of its ``&&`` chain.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ __all__ = [
     "Expr", "IntLit", "FloatLit", "Var", "Index", "Binary", "Unary", "Call",
     "Stmt", "Block", "VarDecl", "Assign", "Foreach", "For", "If", "While",
     "Return", "Break", "Continue", "ExprStmt",
-    "Node", "walk", "names",
+    "Node", "walk", "names", "conjuncts",
 ]
 
 
@@ -273,6 +274,16 @@ def names(node: Optional[Node]) -> Set[str]:
         elif isinstance(n, Index):
             out.add(n.array)
     return out
+
+
+def conjuncts(expr: Optional[Expr]) -> List[Expr]:
+    """The operands of ``expr``'s top-level ``&&`` chain, left to right:
+    ``[expr]`` when it is no conjunction, and nothing for ``None``."""
+    if expr is None:
+        return []
+    if isinstance(expr, Binary) and expr.op == "&&":
+        return conjuncts(expr.left) + conjuncts(expr.right)
+    return [expr]
 
 
 # --------------------------------------------------------------------------

@@ -206,14 +206,6 @@ class _BarrierSite:
     foreachs: Tuple[int, ...]
 
 
-def _split_conjuncts(e: Optional[ast.Expr]) -> List[ast.Expr]:
-    if e is None:
-        return []
-    if isinstance(e, ast.Binary) and e.op == "&&":
-        return _split_conjuncts(e.left) + _split_conjuncts(e.right)
-    return [e]
-
-
 def _contains_load(e: Optional[ast.Expr]) -> bool:
     return any(isinstance(x, ast.Index) for x in ast.walk(e))
 
@@ -364,7 +356,7 @@ class _Collector:
                           else None)
                 self.for_loops[var] = _ForLoop(
                     var=var, stmt=s, init=init_expr,
-                    conds=_split_conjuncts(s.cond), step_value=step_value,
+                    conds=ast.conjuncts(s.cond), step_value=step_value,
                     enclosing=tuple(self.fstack))
                 if var in self.vars:
                     self.vars[var].kind = "for"

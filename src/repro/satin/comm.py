@@ -245,8 +245,8 @@ class CommChannel:
         #: callback and must not block (start a process or callback chain
         #: for slow work)
         self._handlers: Dict[Type[SatinMessage], Callable[[SatinMessage], None]] = {}
-        #: armed mailbox getter of the callback pump
-        self._pending_get: Any = None
+        #: whether the pump runs handlers (cleared by :meth:`stop_pump`)
+        self._pumping = False
 
     # -- handler registration ------------------------------------------------
     def on(self, msg_type: Type[SatinMessage],
@@ -335,25 +335,25 @@ class CommChannel:
 
     # -- receiving -----------------------------------------------------------
     def start_pump(self) -> None:
-        """Begin the node's receive loop: consume the mailbox via hops.
+        """Begin the node's receive loop: take delivered messages via hops.
 
-        A front-lane starter hop arms the first mailbox getter; each
-        delivered :class:`~repro.sim.network.Message` is decoded into its
-        typed payload and routed to the registered handler, and the getter
-        is re-armed right after the handler runs.  Messages whose type has
-        no handler, and below-protocol traffic (app broadcasts etc.), are
-        dropped.  A node crash ends the loop via :meth:`stop_pump`.
+        A front-lane starter hop arms the endpoint's receiver; each message
+        it takes from the mailbox is decoded into its typed payload and
+        routed to the registered handler, and the receiver is re-armed
+        right after the handler runs.  Messages whose type has no handler,
+        and below-protocol traffic (app broadcasts etc.), are dropped.  A
+        node crash ends the loop via :meth:`stop_pump`.
         """
+        self._pumping = True
         self.env._schedule_front(self._arm)
 
     def _arm(self) -> None:
-        self._pending_get = self.endpoint.mailbox.get(hop=self._pump)
+        self.endpoint.arm(self._pump)
 
     def _pump(self) -> None:
-        get = self._pending_get
-        if get is None:
-            return  # stopped while this delivery was queued
-        msg = get._value.payload
+        if not self._pumping:
+            return  # stopped while armed or queued
+        msg = self.endpoint.mailbox.popleft().payload
         if isinstance(msg, SatinMessage):
             handler = self._handlers.get(type(msg))
             if handler is not None:
@@ -361,8 +361,8 @@ class CommChannel:
         self._arm()
 
     def stop_pump(self) -> None:
-        """Stop the pump (node crash): the armed getter stays registered,
-        so it silently swallows at most one more delivered message, but
-        its hop runs no handler and never re-arms.  No-op when the pump
+        """Stop the pump (node crash): a receiver hop already armed or
+        queued still runs once, at the next delivery, but it takes no
+        message, runs no handler and never re-arms.  No-op when the pump
         never started."""
-        self._pending_get = None
+        self._pumping = False

@@ -2,12 +2,13 @@
 
 The paper ran on the DAS-4 cluster; this package provides the virtual
 hardware it ran on: a deterministic process-based event engine
-(:mod:`repro.sim.engine`), contention primitives (:mod:`repro.sim.resources`),
-and an InfiniBand-style interconnect model (:mod:`repro.sim.network`).
+(:mod:`repro.sim.engine`), contention primitives (:mod:`repro.sim.resources`:
+slots held for a span of time, and a continuous amount), and an
+InfiniBand-style interconnect model (:mod:`repro.sim.network`) whose
+endpoints keep delivered messages for one armed receiver hop.
 """
 
 from .engine import (
-    AllOf,
     AnyOf,
     Environment,
     Event,
@@ -24,10 +25,9 @@ from .network import (
     Network,
     NetworkSpec,
 )
-from .resources import Container, PriorityStore, Resource, Store
+from .resources import Container, Resource
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Environment",
     "Event",
@@ -36,8 +36,6 @@ __all__ = [
     "SimulationError",
     "Timeout",
     "Resource",
-    "Store",
-    "PriorityStore",
     "Container",
     "Network",
     "NetworkSpec",

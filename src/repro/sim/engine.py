@@ -32,7 +32,7 @@ import heapq
 import itertools
 from collections import deque
 from types import MethodType
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional
+from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
 
 from ..obs.bus import EventBus
 
@@ -41,7 +41,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AllOf",
     "AnyOf",
     "first_of",
     "Interrupt",
@@ -142,25 +141,12 @@ class Event:
         self.env._ready.append(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another (callback helper)."""
-        self._ok = event._ok
-        self._value = event._value
-        self.env._ready.append(self)
-
     def _first_of_check(self, ev: "Event") -> None:
         """Callback used by :func:`first_of`: the first constituent to be
         dispatched triggers us; the second finds us triggered and is a
         no-op."""
         if self._value is _PENDING:
             self.succeed({ev: ev._value})
-
-    # -- composition --------------------------------------------------------
-    def __and__(self, other: "Event") -> "AllOf":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "AnyOf":
-        return AnyOf(self.env, [self, other])
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} at {id(self):#x}>"
@@ -318,71 +304,55 @@ class Process(Event):
         return f"<Process {name}>"
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf composite events."""
+class AnyOf(Event):
+    """Triggers once any constituent event has succeeded, or at once when
+    there are none; the first constituent failure fails it instead.
 
-    __slots__ = ("_events", "_count")
+    The value maps every constituent that holds a successful value at that
+    moment to its value.  The condition lets go of its constituents as soon
+    as it has its value: one still pending then keeps this condition in its
+    callbacks, so holding on to it would make a reference cycle.
+    """
+
+    __slots__ = ("_events",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
-        self._events = list(events)
-        self._count = 0
-        for ev in self._events:
+        constituents = tuple(events)
+        for ev in constituents:
             if ev.env is not env:
                 raise SimulationError("mixing environments in a condition")
-        if self._immediately_done():
+        self._events: Tuple[Event, ...] = constituents
+        succeeded = not constituents
+        for ev in constituents:
+            if ev.callbacks is None and self._observe(ev):
+                succeeded = True
+        if succeeded and self._value is _PENDING:
             self._finish()
-        else:
-            for ev in self._events:
-                if ev.callbacks is not None:
-                    ev.callbacks.append(self._check)
-                else:
-                    self._observe(ev)
-
-    def _observe(self, ev: Event) -> None:
-        if not ev._ok:
-            ev._defused = True
-            if not self.triggered:
-                self.fail(ev._value)
             return
-        self._count += 1
+        for ev in constituents:
+            if ev.callbacks is not None:
+                ev.callbacks.append(self._check)
+
+    def _observe(self, ev: Event) -> bool:
+        """Note a processed constituent; a failure fails the condition
+        unless it already has a value.  Returns whether ``ev`` succeeded."""
+        if ev._ok:
+            return True
+        ev._defused = True
+        if self._value is _PENDING:
+            self._events = ()
+            self.fail(ev._value)
+        return False
 
     def _check(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        self._observe(ev)
-        if not self.triggered and self._done():
+        if self._value is _PENDING and self._observe(ev):
             self._finish()
 
-    def _immediately_done(self) -> bool:
-        for ev in self._events:
-            if ev.callbacks is None:
-                self._observe(ev)
-        return not self.triggered and self._done()
-
     def _finish(self) -> None:
-        self.succeed({ev: ev._value for ev in self._events if ev.triggered and ev._ok})
-
-    def _done(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers once *all* constituent events have triggered."""
-
-    __slots__ = ()
-
-    def _done(self) -> bool:
-        return self._count >= len(self._events)
-
-
-class AnyOf(_Condition):
-    """Triggers once *any* constituent event has triggered."""
-
-    __slots__ = ()
-
-    def _done(self) -> bool:
-        return self._count >= 1 or not self._events
+        events, self._events = self._events, ()
+        self.succeed({ev: ev._value for ev in events
+                      if ev._value is not _PENDING and ev._ok})
 
 
 def first_of(env: "Environment", a: Event, b: Event) -> Event:
@@ -468,9 +438,6 @@ class Environment:
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

@@ -3,19 +3,21 @@
 Models a switched fabric (the DAS-4 uses QDR InfiniBand): every node owns a
 full-duplex NIC.  Sending a message serializes it onto the sender's injection
 link at the link bandwidth, the fabric adds a fixed latency, and the message
-then lands in the receiver's mailbox.  Concurrent sends from one node queue
-on its NIC; sends from different nodes proceed in parallel — this is what
-produces the "skewed computation/communication ratio" the paper discusses
-when fast many-core leaves meet a relatively slow network.
+then lands in the receiver's mailbox, where the receiver's armed hop takes
+it.  Concurrent sends from one node queue on its NIC; sends from different
+nodes proceed in parallel — this is what produces the "skewed
+computation/communication ratio" the paper discusses when fast many-core
+leaves meet a relatively slow network.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Iterable, Optional
+from typing import Any, Callable, Deque, Dict, Generator, Iterable, Optional
 
 from .engine import Environment, Event, SimulationError
-from .resources import Resource, Store
+from .resources import Resource
 
 
 def _exact(nbytes: float) -> Any:
@@ -84,14 +86,22 @@ class Message:
 
 
 class Endpoint:
-    """A node's attachment to the network: NIC plus mailbox."""
+    """A node's attachment to the network: NIC plus mailbox.
+
+    Delivered messages wait in :attr:`mailbox` until the node's receiver
+    takes them: one hop at a time, armed with :meth:`arm`, which pops the
+    oldest message when it runs.
+    """
 
     def __init__(self, env: Environment, network: "Network", rank: int):
         self.env = env
         self.network = network
         self.rank = rank
         self.nic = Resource(env, capacity=1)
-        self.mailbox: Store = Store(env)
+        #: delivered messages not yet taken, oldest first
+        self.mailbox: Deque[Message] = deque()
+        #: the receiver hop armed for the next delivery, if any
+        self._receiver: Optional[Callable[[], None]] = None
         #: cumulative statistics — byte counters start at int 0 so that
         #: integral charges (see :func:`_exact`) accumulate exactly
         self.bytes_sent: Any = 0
@@ -103,11 +113,14 @@ class Endpoint:
         """Process: transmit a message to node ``dst`` (blocks the NIC)."""
         yield from self.network.transmit(self, dst, tag, payload, nbytes)
 
-    def recv(self, tag: Optional[str] = None):
-        """Event: receive the next message (optionally filtered by tag)."""
-        if tag is None:
-            return self.mailbox.get()
-        return self.mailbox.get(lambda m: m.tag == tag)
+    def arm(self, hop: Callable[[], None]) -> None:
+        """Queue the receiver ``hop`` (a zero-argument bound method, see
+        :meth:`Environment._schedule`) to take one message: now if one
+        waits in the mailbox, else at the next delivery."""
+        if self.mailbox:
+            self.env._ready.append(hop)
+        else:
+            self._receiver = hop
 
 
 class _TransmitOp:
@@ -115,7 +128,7 @@ class _TransmitOp:
 
     Each step is a hop (a zero-argument bound method queued on the engine,
     see :meth:`Environment._schedule`), so no ``Event`` is built per step.
-    A transfer takes three queue pops, and the receiver's mailbox getter a
+    A transfer takes three queue pops, and the receiver's armed hop a
     fourth:
 
     1. **grant** — :meth:`start` claims the sender's NIC; when the claim is
@@ -125,8 +138,9 @@ class _TransmitOp:
        fabric latency.
     3. **latency** — ``latency_s`` later, without the NIC,
        :meth:`_deliver` charges the byte/message counters and the ``send``
-       obs interval, lands the message in the receiver's mailbox, and
-       succeeds a blocking caller's ``done`` event with the message.
+       obs interval, succeeds a blocking caller's ``done`` event with the
+       message, lands it in the receiver's mailbox and queues the
+       receiver's armed hop.
 
     No process exists per transfer: only a blocking caller waiting on
     ``done`` is resumed.  Fire-and-forget sends (``done is None``) resume
@@ -216,18 +230,14 @@ class _TransmitOp:
                      start=self.inject_start, end=env._now,
                      label=msg.tag, dst=msg.dst, nbytes=nbytes)
         done = self.done
-        mailbox = dst_ep.mailbox
-        if not mailbox._putters and len(mailbox.items) < mailbox.capacity:
-            if done is not None:
-                # The caller's resume event is queued before the getter's.
-                done.succeed(msg)
-            mailbox.put_nowait(msg)
-        else:
-            # Bounded/contended mailbox: queue the put and resume the
-            # caller when it lands.
-            put = mailbox.put(msg)
-            if done is not None:
-                put.callbacks.append(lambda _e, d=done, m=msg: d.succeed(m))
+        if done is not None:
+            # The caller's resume event is queued before the receiver.
+            done.succeed(msg)
+        dst_ep.mailbox.append(msg)
+        receiver = dst_ep._receiver
+        if receiver is not None:
+            dst_ep._receiver = None
+            env._ready.append(receiver)
 
 
 class Network:

@@ -1,19 +1,19 @@
 """Shared-resource primitives for the simulation engine.
 
 These model contention: a :class:`Resource` is a set of interchangeable
-slots (e.g. CPU cores, DMA engines), a :class:`Store` is a FIFO buffer of
-items (e.g. a device's job queue), and a :class:`Container` holds a
-continuous amount (e.g. device memory in bytes).
+slots (e.g. CPU cores, DMA engines), held for a span of time with
+:meth:`Resource.hold`, and a :class:`Container` holds a continuous amount
+(e.g. device memory in bytes).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional
+from typing import Any, Callable, Deque, Generator, List, Optional
 
-from .engine import _PENDING, Environment, Event, SimulationError
+from .engine import _PENDING, Environment, Event, SimulationError, Timeout
 
-__all__ = ["Resource", "Store", "PriorityStore", "Container"]
+__all__ = ["Resource", "Container"]
 
 
 class _Request(Event):
@@ -52,7 +52,8 @@ class _Request(Event):
             resource._queue.append(self)
 
     def _grant(self) -> None:
-        """Trigger the claim (its value is itself), or queue its hop."""
+        """Trigger the claim (its value is itself until it is released),
+        or queue its hop."""
         hop = self.hop
         if hop is None:
             self._value = self
@@ -100,11 +101,31 @@ class Resource:
         triggering the request (see :class:`_Request`)."""
         return _Request(self, hop)
 
+    def hold(self, seconds: float) -> Generator[Event, Any, float]:
+        """Process body: claim a slot, keep it ``seconds``, then free it.
+
+        The slot is freed also when the holder is interrupted while it
+        holds the slot.  Returns the time the claim was granted, so the
+        caller of ``yield from`` can charge the span up to ``now``.
+        """
+        env = self.env
+        req = yield _Request(self)
+        try:
+            start = env._now
+            yield Timeout(env, seconds)
+        finally:
+            self.release(req)
+        return start
+
     def release(self, request: _Request) -> None:
         try:
             self._users.remove(request)
         except ValueError:
             request.cancel()
+        else:
+            # A granted event claim is its own value, a reference cycle
+            # until the released claim lets go of it.
+            request._value = None
         self._trigger()
 
     def _trigger(self) -> None:
@@ -115,159 +136,6 @@ class Resource:
             req = queue.popleft()
             users.append(req)
             req._grant()
-
-
-class _StoreGet(Event):
-    """A pending get; with a ``hop``, the grant queues the hop instead of
-    triggering the get (as for a :class:`_Request`), and the hop reads the
-    item from the get's ``_value``."""
-
-    __slots__ = ("filt", "hop")
-
-    def __init__(self, store: "Store", filt: Optional[Callable[[Any], bool]] = None,
-                 hop: Optional[Callable[[], None]] = None):
-        env = store.env
-        self.env = env
-        if hop is None:
-            pool = env._cb_pool
-            self.callbacks = pool.pop() if pool else []
-        else:
-            self.callbacks = None
-        self._value = _PENDING
-        self._ok = True
-        self._defused = False
-        self.filt = filt
-        self.hop = hop
-        store._getters.append(self)
-        store._trigger()
-
-    def _grant(self, item: Any) -> None:
-        """Trigger the get with ``item``, or queue its hop."""
-        self._value = item
-        hop = self.hop
-        self.env._ready.append(self if hop is None else hop)
-
-
-class _StorePut(Event):
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any):
-        env = store.env
-        self.env = env
-        pool = env._cb_pool
-        self.callbacks = pool.pop() if pool else []
-        self._value = _PENDING
-        self._ok = True
-        self._defused = False
-        self.item = item
-        store._putters.append(self)
-        store._trigger()
-
-
-class Store:
-    """FIFO item buffer with optional capacity and filtered gets."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        self.env = env
-        self.capacity = capacity
-        self.items: List[Any] = []
-        self._getters: List[_StoreGet] = []
-        self._putters: Deque[_StorePut] = deque()
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> _StorePut:
-        return _StorePut(self, item)
-
-    def get(self, filt: Optional[Callable[[Any], bool]] = None,
-            hop: Optional[Callable[[], None]] = None) -> _StoreGet:
-        """Get the first item (matching ``filt`` if given); with ``hop``,
-        the grant calls it instead of triggering the get."""
-        return _StoreGet(self, filt, hop)
-
-    def _insert(self, item: Any) -> None:
-        self.items.append(item)
-
-    def put_nowait(self, item: Any) -> None:
-        """Insert ``item`` synchronously, with no queue event.
-
-        Valid only when the store has room and no queued putters — callers
-        (the network delivery fast path) check both.  Waiting getters are
-        satisfied exactly as a queued :meth:`put` would have, in the same
-        order, just without the intermediate ``_StorePut`` event.
-        """
-        self._insert(item)
-        if self._getters:
-            self._trigger()
-
-    def _trigger(self) -> None:
-        items = self.items
-        putters = self._putters
-        getters = self._getters
-        if not putters:
-            # Fast paths for the common shapes: nothing to match, or one
-            # waiting getter and an item for it.  Grant order and filter
-            # semantics are exactly the general loop's below.
-            if not items or not getters:
-                return
-            if len(getters) == 1:
-                get = getters[0]
-                filt = get.filt
-                if filt is None:
-                    del getters[0]
-                    get._grant(items.pop(0))
-                    return
-                for item in items:
-                    if filt(item):
-                        del getters[0]
-                        items.remove(item)
-                        get._grant(item)
-                        return
-                return
-        progress = True
-        while progress:
-            progress = False
-            # Admit puts while there is room.
-            while putters and len(items) < self.capacity:
-                put = putters.popleft()
-                self._insert(put.item)
-                put.succeed()
-                progress = True
-            # Satisfy getters (no matches are possible while empty).
-            if not items or not getters:
-                continue
-            for get in list(getters):
-                matched = None
-                if get.filt is None:
-                    if items:
-                        matched = items[0]
-                else:
-                    for item in items:
-                        if get.filt(item):
-                            matched = item
-                            break
-                if matched is not None:
-                    items.remove(matched)
-                    getters.remove(get)
-                    get._grant(matched)
-                    progress = True
-
-
-class PriorityStore(Store):
-    """Store whose items come out lowest-key first.
-
-    Items must be orderable, or a ``key`` function must be supplied.
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf"),
-                 key: Optional[Callable[[Any], Any]] = None):
-        super().__init__(env, capacity)
-        self._key = key
-
-    def _insert(self, item: Any) -> None:
-        self.items.append(item)
-        self.items.sort(key=self._key)
 
 
 class _ContainerGet(Event):

@@ -199,7 +199,7 @@ def test_sanitizers(call):
 
 @pytest.mark.parametrize("sink", ["q.push(s)", "q.send(0, s)", "q.emit(s)",
                                   "q.schedule(s)", "env.process(s)",
-                                  "q.put(s)", "q.submit(s)"])
+                                  "q.put(s)", "q.submit(s)", "q.arm(s)"])
 def test_method_sinks(sink):
     assert _codes(f"""
         def f(q, env):

@@ -64,7 +64,7 @@ def test_transmit_invariants(sends):
     # Every sent message lands exactly once, in its destination mailbox.
     landed = Counter()
     for ep in endpoints:
-        for msg in ep.mailbox.items:
+        for msg in ep.mailbox:
             src, dst, nbytes = sent[msg.payload]
             assert (msg.src, msg.dst, ep.rank) == (src, dst, dst)
             assert msg.nbytes == nbytes

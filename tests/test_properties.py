@@ -46,11 +46,15 @@ def test_timeouts_fire_in_nondecreasing_time_order(delays):
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
                 min_size=1, max_size=10))
 def test_allof_completes_at_max_anyof_at_min(delays):
+    """Waiting for all of the timeouts (each in turn: one already processed
+    resumes the waiter at once) ends at the latest; ``any_of`` ends at the
+    earliest."""
     env = Environment()
     times = {}
 
     def all_waiter():
-        yield env.all_of([env.timeout(d) for d in delays])
+        for timeout in [env.timeout(d) for d in delays]:
+            yield timeout
         times["all"] = env.now
 
     def any_waiter():

@@ -153,6 +153,31 @@ def test_dispatch_drops_untyped_and_unhandled_traffic():
     assert seen == ["hello"]
 
 
+def test_stopped_pump_costs_one_inert_pop_then_none():
+    """After ``stop_pump`` (a crash) the armed receiver still runs once, at
+    the next delivery: one queue pop that runs no handler and re-arms
+    nothing.  Later deliveries cost no pop.  Serve places crash injections
+    by event count, so that one pop is part of the schedule."""
+    cluster, env, layer, ch0, ch1 = _two_node_layer()
+    seen = []
+    ch1.on(UserMessage, lambda msg: seen.append(msg.payload))
+    env.run()  # the pumps' starters arm both receivers
+
+    def pops_to_deliver(payload):
+        before = env.events_processed
+        ch0.post(1, UserMessage(payload=payload), nbytes=10)
+        env.run()
+        return env.events_processed - before
+
+    live = pops_to_deliver("live")
+    ch1.stop_pump()
+    first = pops_to_deliver("first")
+    later = [pops_to_deliver("later"), pops_to_deliver("later")]
+    assert seen == ["live"]
+    assert first == live
+    assert later == [live - 1, live - 1]
+
+
 # --------------------------------------------------------------------------
 # runtime integration
 # --------------------------------------------------------------------------

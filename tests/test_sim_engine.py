@@ -142,39 +142,16 @@ def test_unhandled_process_exception_propagates_out_of_run():
         env.run()
 
 
-def test_allof_waits_for_all():
-    env = Environment()
-
-    def proc():
-        t1 = env.timeout(1, value="x")
-        t2 = env.timeout(5, value="y")
-        yield t1 & t2
-        return env.now
-
-    assert env.run(env.process(proc())) == 5
-
-
 def test_anyof_returns_at_first():
     env = Environment()
 
     def proc():
         t1 = env.timeout(1, value="x")
         t2 = env.timeout(5, value="y")
-        yield t1 | t2
+        yield env.any_of([t1, t2])
         return env.now
 
     assert env.run(env.process(proc())) == 1
-
-
-def test_all_of_factory_with_many_events():
-    env = Environment()
-
-    def proc():
-        events = [env.timeout(i) for i in range(1, 6)]
-        yield env.all_of(events)
-        return env.now
-
-    assert env.run(env.process(proc())) == 5
 
 
 def test_interrupt_delivers_cause():

@@ -19,26 +19,21 @@ def test_transfer_time_formula():
 
 def test_message_delivery_and_timing():
     env, net, (a, b) = make_net()
-    received = []
 
     def sender():
         yield from a.send(1, "data", payload={"x": 1}, nbytes=1e9)
 
-    def receiver():
-        msg = yield b.recv()
-        received.append((msg.payload, env.now))
-
     env.process(sender())
-    env.process(receiver())
     env.run()
+    (msg,) = b.mailbox
     # 1 GB at 1 GB/s = 1 s serialize + 1 ms latency
-    assert received[0][0] == {"x": 1}
-    assert received[0][1] == pytest.approx(1.001)
+    assert msg.payload == {"x": 1}
+    assert msg.recv_time == pytest.approx(1.001)
+    assert not a.mailbox
 
 
 def test_sends_from_one_node_serialize_on_nic():
     env, net, (a, b) = make_net()
-    arrivals = []
 
     def sender():
         yield from a.send(1, "m1", nbytes=1e9)
@@ -46,58 +41,54 @@ def test_sends_from_one_node_serialize_on_nic():
     def sender2():
         yield from a.send(1, "m2", nbytes=1e9)
 
-    def receiver():
-        for _ in range(2):
-            msg = yield b.recv()
-            arrivals.append(env.now)
-
     env.process(sender())
     env.process(sender2())
-    env.process(receiver())
     env.run()
     # Second message waits for the first to leave the NIC.
-    assert arrivals[0] == pytest.approx(1.001)
-    assert arrivals[1] == pytest.approx(2.001)
+    assert [m.tag for m in b.mailbox] == ["m1", "m2"]
+    assert [m.recv_time for m in b.mailbox] == [pytest.approx(1.001),
+                                                pytest.approx(2.001)]
 
 
 def test_sends_from_different_nodes_parallel():
     env, net, eps = make_net(3)
-    arrivals = []
 
     def sender(ep):
         yield from ep.send(2, "m", nbytes=1e9)
 
-    def receiver():
-        for _ in range(2):
-            yield eps[2].recv()
-            arrivals.append(env.now)
-
     env.process(sender(eps[0]))
     env.process(sender(eps[1]))
-    env.process(receiver())
     env.run()
-    assert arrivals[0] == pytest.approx(1.001)
-    assert arrivals[1] == pytest.approx(1.001)
+    assert [m.recv_time for m in eps[2].mailbox] == [pytest.approx(1.001),
+                                                     pytest.approx(1.001)]
 
 
-def test_recv_by_tag_filters():
+def test_armed_receiver_runs_once_per_arm():
+    """An armed hop runs at the next delivery, or at once when a message
+    already waits, and takes the oldest message; it does not re-arm."""
     env, net, (a, b) = make_net()
-    got = []
+    taken = []
+
+    class Receiver:  # a hop is a zero-argument bound method
+        def take(self):
+            msg = b.mailbox.popleft()
+            taken.append((msg.tag, env.now))
+
+    receiver = Receiver()
+    b.arm(receiver.take)
 
     def sender():
-        yield from a.send(1, "steal-reply", nbytes=10)
-        yield from a.send(1, "result", nbytes=10)
-
-    def receiver():
-        msg = yield b.recv(tag="result")
-        got.append(msg.tag)
+        yield from a.send(1, "m1", nbytes=1e9)
+        yield from a.send(1, "m2", nbytes=1e9)
 
     env.process(sender())
-    env.process(receiver())
     env.run()
-    assert got == ["result"]
-    # The untagged message remains queued.
-    assert len(b.mailbox.items) == 1
+    assert taken == [("m1", pytest.approx(1.001))]
+    assert [m.tag for m in b.mailbox] == ["m2"]
+    b.arm(receiver.take)
+    env.run()
+    assert taken[1:] == [("m2", pytest.approx(2.002))]
+    assert not b.mailbox
 
 
 def test_statistics_accumulate():
@@ -117,20 +108,15 @@ def test_statistics_accumulate():
 
 def test_broadcast_reaches_all_other_nodes():
     env, net, eps = make_net(4)
-    got = []
 
     def master():
         yield from net.broadcast(eps[0], "init", {"n": 42}, nbytes=100)
 
-    def slave(ep):
-        msg = yield ep.recv(tag="init")
-        got.append((ep.rank, msg.payload["n"]))
-
     env.process(master())
-    for ep in eps[1:]:
-        env.process(slave(ep))
     env.run()
-    assert sorted(got) == [(1, 42), (2, 42), (3, 42)]
+    got = [(ep.rank, msg.tag, msg.payload["n"])
+           for ep in eps for msg in ep.mailbox]
+    assert got == [(1, "init", 42), (2, "init", 42), (3, "init", 42)]
 
 
 def test_send_to_unknown_rank_raises():

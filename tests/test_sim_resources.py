@@ -1,11 +1,11 @@
-"""Unit tests for simulation resources: Resource, Store, Container."""
+"""Unit tests for simulation resources: Resource, Container."""
 
 import gc
 import weakref
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityStore, Resource, SimulationError, Store
+from repro.sim import Container, Environment, Resource, SimulationError
 
 
 def test_resource_serializes_users():
@@ -99,103 +99,6 @@ def test_resource_invalid_capacity():
     env = Environment()
     with pytest.raises(SimulationError):
         Resource(env, capacity=0)
-
-
-def test_store_fifo_order():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def producer():
-        for i in range(3):
-            yield store.put(i)
-            yield env.timeout(1)
-
-    def consumer():
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert got == [0, 1, 2]
-
-
-def test_store_get_blocks_until_put():
-    env = Environment()
-    store = Store(env)
-    times = []
-
-    def consumer():
-        yield store.get()
-        times.append(env.now)
-
-    def producer():
-        yield env.timeout(9)
-        yield store.put("x")
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert times == [9]
-
-
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    log = []
-
-    def producer():
-        yield store.put("a")
-        log.append(("put-a", env.now))
-        yield store.put("b")
-        log.append(("put-b", env.now))
-
-    def consumer():
-        yield env.timeout(5)
-        yield store.get()
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert log == [("put-a", 0), ("put-b", 5)]
-
-
-def test_store_filtered_get():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def run():
-        yield store.put({"tag": "x"})
-        yield store.put({"tag": "y"})
-        item = yield store.get(lambda m: m["tag"] == "y")
-        got.append(item["tag"])
-        item = yield store.get()
-        got.append(item["tag"])
-
-    env.process(run())
-    env.run()
-    assert got == ["y", "x"]
-
-
-def test_priority_store_orders_by_key():
-    env = Environment()
-    store = PriorityStore(env, key=lambda item: item[0])
-    got = []
-
-    def run():
-        yield store.put((3, "c"))
-        yield store.put((1, "a"))
-        yield store.put((2, "b"))
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item[1])
-
-    env.process(run())
-    env.run()
-    assert got == ["a", "b", "c"]
 
 
 def test_container_get_blocks_until_level():
