@@ -93,8 +93,12 @@ class DevicePlacementPolicy(SchedulingPolicy):
 
         ``ctx`` is the executor's schedule context: ``ctx.now``,
         ``ctx.in_edges(name)``, ``ctx.placement(src) -> lane | None`` and
-        ``ctx.edge_cost(edge, src_lane, dst_lane)``.  The default ignores
-        it and falls back to the policy's leaf-at-a-time :meth:`select`.
+        ``ctx.edge_costs(nbytes, src_lane)``, the run's price row for an
+        edge of ``nbytes`` leaving ``src_lane``: every other device lane
+        -> its estimated d2h + (network) + h2d cost, the same prices
+        ``comm_estimate`` averages.  The row is the run's own: read it,
+        do not change it.  The default ignores ``ctx`` and falls back to
+        the policy's leaf-at-a-time :meth:`select`.
         """
         return self.select(devices, predictions)
 
@@ -181,37 +185,49 @@ class LookaheadMakespanPolicy(MakespanPolicy):
                      predictions: Dict[str, Tuple[float, bool]],
                      ctx: Any) -> SchedulingDecision:
         now = ctx.now
-        # per input: (edge, producer lane, producer finish clamped to now);
-        # only the cross-device transfer term depends on the candidate
-        inputs: List[Tuple[Any, Optional[str], float]] = []
+        # Every candidate is ready no earlier than ``base``: now, and the
+        # finish of any producer not yet placed.  A placed producer's
+        # input arrives at its finish (clamped to now), plus its price
+        # row's transfer cost on every other lane.
+        base = now
+        inputs: List[Tuple[str, Dict[str, float], float]] = []
         for edge in ctx.in_edges(name):
             finish = self._finish.get(edge.src, now)
-            inputs.append((edge, ctx.placement(edge.src),
-                           now if finish < now else finish))
-        best: Optional[SchedulingDecision] = None
-        best_eft = 0.0
+            if finish < now:
+                finish = now
+            src_lane = ctx.placement(edge.src)
+            if src_lane is None:
+                if finish > base:
+                    base = finish
+            else:
+                inputs.append((src_lane, ctx.edge_costs(edge.nbytes, src_lane),
+                               finish))
+        best: Optional[SimDevice] = None
+        best_eft = best_t = best_speed = 0.0
+        best_used = False
         for dev in devices:
-            t_d, used = predictions[dev.lane]
-            ready_t = now
-            for edge, src_lane, arrival in inputs:
-                if src_lane is not None and src_lane != dev.lane:
-                    arrival += ctx.edge_cost(edge, src_lane, dev.lane)
+            lane = dev.lane
+            ready_t = base
+            for src_lane, costs, arrival in inputs:
+                if src_lane != lane:
+                    arrival += costs[lane]
                 if arrival > ready_t:
                     ready_t = arrival
             start = now + dev.pending_work_s
             if ready_t > start:
                 start = ready_t
+            t_d, used = predictions[lane]
             eft = start + t_d
+            speed = dev.spec.static_speed
             if (best is None or eft < best_eft
-                    or (eft == best_eft and dev.spec.static_speed
-                        > best.device.spec.static_speed)):
-                best = SchedulingDecision(device=dev, predicted_s=t_d,
-                                          makespan_s=eft,
-                                          used_measurement=used)
-                best_eft = eft
+                    or (eft == best_eft and speed > best_speed)):
+                best, best_eft, best_t, best_speed, best_used = (
+                    dev, eft, t_d, speed, used)
         assert best is not None
         self._finish[name] = best_eft
-        return best
+        return SchedulingDecision(device=best, predicted_s=best_t,
+                                  makespan_s=best_eft,
+                                  used_measurement=best_used)
 
 
 @register_policy

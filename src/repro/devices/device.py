@@ -47,6 +47,10 @@ class SimDevice:
         self.node_rank = node_rank
         #: lane prefix in Gantt traces, e.g. "node3/gtx480[0]"
         self.lane = f"{node_name}/{spec.name}[{index}]"
+        # the lanes of the three engines' obs intervals
+        self._h2d_lane = f"{self.lane}/h2d"
+        self._d2h_lane = f"{self.lane}/d2h"
+        self._kernel_lane = f"{self.lane}/kernel"
 
         #: with overlap disabled (ablation), copies and kernels serialize on
         #: one engine — no PCIe/compute overlap (Sec. II-C3 turned off)
@@ -95,7 +99,7 @@ class SimDevice:
         start = yield from self.h2d_engine.hold(transfer_time(nbytes, self.spec))
         obs = self.env.obs
         if obs.enabled:
-            obs.emit("h2d", node=self.node_rank, lane=f"{self.lane}/h2d",
+            obs.emit("h2d", node=self.node_rank, lane=self._h2d_lane,
                      start=start, end=self.env.now, label=label,
                      nbytes=nbytes)
 
@@ -106,7 +110,7 @@ class SimDevice:
         start = yield from self.d2h_engine.hold(transfer_time(nbytes, self.spec))
         obs = self.env.obs
         if obs.enabled:
-            obs.emit("d2h", node=self.node_rank, lane=f"{self.lane}/d2h",
+            obs.emit("d2h", node=self.node_rank, lane=self._d2h_lane,
                      start=start, end=self.env.now, label=label,
                      nbytes=nbytes)
 
@@ -119,8 +123,7 @@ class SimDevice:
         self.launch_counts[profile.name] = self.launch_counts.get(profile.name, 0) + 1
         obs = self.env.obs
         if obs.enabled:
-            obs.emit("kernel", node=self.node_rank,
-                     lane=f"{self.lane}/kernel",
+            obs.emit("kernel", node=self.node_rank, lane=self._kernel_lane,
                      start=start, end=self.env.now,
                      label=label or profile.name, kernel=profile.name,
                      device=self.spec.name, flops=profile.flops)

@@ -100,11 +100,13 @@ class _ScheduleContext:
         decision = self._rt._decisions.get(name)
         return decision.device.lane if decision is not None else None
 
-    def edge_cost(self, edge: DataEdge, src_lane: str, dst_lane: str) -> float:
-        """Estimated cost of moving ``edge`` between two distinct devices."""
-        return self._rt._edge_cost(edge.nbytes,
-                                   self._rt._device_by_lane[src_lane],
-                                   self._rt._device_by_lane[dst_lane])
+    def edge_costs(self, nbytes: float, src_lane: str) -> Dict[str, float]:
+        """Device lane -> estimated cost of moving ``nbytes`` from the device
+        on ``src_lane`` to it, for every other device of the pool.
+
+        The dict is the run's own price row: callers only read it.
+        """
+        return self._rt._edge_row(nbytes, src_lane)
 
 
 class GraphRuntime:
@@ -136,14 +138,19 @@ class GraphRuntime:
         self._wake: Optional[Event] = None
         #: per-run price tables, filled on first use
         self._lane_times: Dict[KernelProfile, Dict[str, float]] = {}
+        self._node_costs: Dict[str, Tuple[KernelProfile,
+                                          Dict[str, float]]] = {}
+        self._edge_rows: Dict[Tuple[float, str], Dict[str, float]] = {}
         self._comm_means: Dict[float, float] = {}
 
     # -- cost estimates (policy-facing) -------------------------------------
-    # A kernel's per-lane times and an edge's mean transfer cost are pure
+    # A kernel's per-lane times and an edge's transfer costs are pure
     # functions of the profile / byte count and the device pool, which is
     # fixed for a run, so each distinct key is priced once, lazily during
     # run(), with the same expressions and summation order as a fresh
-    # computation: the estimates stay bit-identical.
+    # computation: the estimates stay bit-identical.  The ranking's mean
+    # edge costs and the placement's per-candidate costs read the same
+    # price rows.
     def _edge_cost(self, nbytes: float, src: SimDevice,
                    dst: SimDevice) -> float:
         """d2h + (network) + h2d for one edge between two distinct devices.
@@ -172,9 +179,35 @@ class GraphRuntime:
             self._lane_times[profile] = times
         return times
 
+    def _node_cost(self, name: str) -> Tuple[KernelProfile, Dict[str, float]]:
+        """Node ``name``'s launch profile and its device lane -> predicted
+        execution time row, built once per run."""
+        cost = self._node_costs.get(name)
+        if cost is None:
+            spec = self.graph.nodes[name]
+            profile = spec.profile()
+            times = self._kernel_times(profile)
+            if not self.graph.out_edges(name):
+                # sink outputs are copied back to the host
+                profile = replace(profile, d2h_bytes=spec.out_bytes)
+            cost = self._node_costs[name] = (profile, times)
+        return cost
+
     def _mean_exec_estimate(self, name: str) -> float:
-        times = self._kernel_times(self.graph.nodes[name].profile())
+        times = self._node_cost(name)[1]
         return sum(times.values()) / len(times)
+
+    def _edge_row(self, nbytes: float, src_lane: str) -> Dict[str, float]:
+        """Device lane -> :meth:`_edge_cost` of ``nbytes`` from ``src_lane``
+        to it, for every other device, in pool order."""
+        key = (nbytes, src_lane)
+        row = self._edge_rows.get(key)
+        if row is None:
+            src = self._device_by_lane[src_lane]
+            row = {dst.lane: self._edge_cost(nbytes, src, dst)
+                   for dst in self.devices if dst is not src}
+            self._edge_rows[key] = row
+        return row
 
     def _mean_comm_estimate(self, edge: DataEdge) -> float:
         """Mean cross-device cost of an edge over distinct device pairs."""
@@ -184,10 +217,8 @@ class GraphRuntime:
             total = 0.0
             pairs = 0
             for src in self.devices:
-                for dst in self.devices:
-                    if src is dst:
-                        continue
-                    total += self._edge_cost(nbytes, src, dst)
+                for cost in self._edge_row(nbytes, src.lane).values():
+                    total += cost
                     pairs += 1
             mean = total / pairs if pairs else 0.0
             self._comm_means[nbytes] = mean
@@ -236,7 +267,6 @@ class GraphRuntime:
 
     def _dispatch(self, name: str) -> None:
         spec = self.graph.nodes[name]
-        profile = spec.profile()
         # device memory the node holds while it runs: host input, every
         # input buffer (resident or staged) and its output buffer
         footprint = (spec.in_bytes + spec.out_bytes
@@ -248,7 +278,7 @@ class GraphRuntime:
                 f"node {name!r} needs {footprint:.0f} B of device memory, "
                 f"more than any device of cluster "
                 f"{self.cluster.config.name!r} has")
-        times = self._kernel_times(profile)
+        times = self._node_cost(name)[1]
         predictions: Dict[str, Tuple[float, bool]] = {
             dev.lane: (times[dev.lane], False) for dev in fits}
         decision = self.scheduler.place(name, fits, predictions, self._ctx)
@@ -267,12 +297,8 @@ class GraphRuntime:
         graph = self.graph
         spec = graph.nodes[name]
         dev = decision.device
-        profile = spec.profile()
-        if not graph.out_edges(name):
-            # sink outputs are copied back to the host
-            profile = replace(profile, d2h_bytes=spec.out_bytes)
         yield from dev.launch(
-            profile, name, footprint=footprint,
+            self._node_cost(name)[0], name, footprint=footprint,
             stage=self._stage_inputs(name, dev),
             release=partial(self.scheduler.job_finished, decision))
         obs = self.cluster.obs

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import json.encoder
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -66,7 +67,39 @@ POINT_KINDS = frozenset({
 })
 
 
-@dataclass
+#: ``json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)``'s
+#: encoder; ``ensure_ascii``, ``allow_nan`` and ``check_circular`` keep
+#: their defaults.  The canonical form of every serialized event.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              default=str)
+
+
+def _stream_encoder() -> Callable[[Any], str]:
+    """An encoder for one stream, byte-identical to ``_CANONICAL.encode``.
+
+    ``json.dumps`` builds a fresh ``JSONEncoder`` and C encoder for every
+    call; a stream builds the C encoder once, with a fresh circular-check
+    markers dict (an encode that raises leaves its markers behind, so a
+    failed stream's encoder is not reused).  Without the C accelerator it
+    falls back to ``_CANONICAL.encode``, as ``json`` itself does.
+    """
+    # read per stream, as JSONEncoder.iterencode reads it per call
+    make = getattr(json.encoder, "c_make_encoder", None)
+    if make is None:
+        return _CANONICAL.encode
+    enc = _CANONICAL
+    encode = make({}, enc.default, json.encoder.encode_basestring_ascii,
+                  enc.indent, enc.key_separator, enc.item_separator,
+                  enc.sort_keys, enc.skipkeys, enc.allow_nan)
+    join = "".join
+
+    def encode_one(obj: Any) -> str:
+        return join(encode(obj, 0))
+
+    return encode_one
+
+
+@dataclass(slots=True)
 class ObsEvent:
     """One structured observability event.
 
@@ -113,8 +146,7 @@ class ObsEvent:
 
     def serialize(self) -> str:
         """One canonical JSON line (sorted keys, compact separators)."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"), default=str)
+        return _stream_encoder()(self.to_dict())
 
 
 class EventBus:
@@ -145,9 +177,8 @@ class EventBus:
         """Record one event (no-op while the bus is disabled)."""
         if not self.enabled:
             return None
-        ev = ObsEvent(seq=next(self._seq), ts=self._clock(), kind=kind,
-                      node=node, lane=lane, start=start, end=end,
-                      fields=fields)
+        ev = ObsEvent(next(self._seq), self._clock(), kind, node, lane, start,
+                      end, fields)
         self.events.append(ev)
         return ev
 
@@ -177,6 +208,8 @@ class EventBus:
         """The full stream as deterministic JSON lines.
 
         Byte-identical across runs with the same seed — the contract the
-        determinism regression tests enforce.
+        determinism regression tests enforce.  Each line equals
+        :meth:`ObsEvent.serialize`; the stream shares one encoder.
         """
-        return "\n".join(ev.serialize() for ev in self.events)
+        encode = _stream_encoder()
+        return "\n".join([encode(ev.to_dict()) for ev in self.events])

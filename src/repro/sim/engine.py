@@ -102,11 +102,6 @@ class Event:
         return self._value is not _PENDING
 
     @property
-    def processed(self) -> bool:
-        """True once the callbacks have run."""
-        return self.callbacks is None
-
-    @property
     def ok(self) -> bool:
         if not self.triggered:
             raise SimulationError("event not yet triggered")

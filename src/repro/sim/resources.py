@@ -17,7 +17,7 @@ __all__ = ["Resource", "Container"]
 
 
 class _Request(Event):
-    """A pending claim on a resource slot; usable as a context manager.
+    """A pending claim on a resource slot.
 
     A claim made with a ``hop`` (a zero-argument bound method, see
     :meth:`Environment._schedule`) is granted by queueing the hop in the
@@ -65,12 +65,6 @@ class _Request(Event):
             self._value = None
             self.hop = None
             self.env._ready.append(hop)
-
-    def __enter__(self) -> "_Request":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.resource.release(self)
 
     def cancel(self) -> None:
         """Withdraw a not-yet-granted request."""

@@ -225,7 +225,7 @@ def test_zero_byte_edge_is_free():
     (edge,) = graph.edges
     src, dst = runtime.devices  # one device on each of the two nodes
     assert runtime._owner[src.lane].rank != runtime._owner[dst.lane].rank
-    assert runtime._ctx.edge_cost(edge, src.lane, dst.lane) == 0.0
+    assert runtime._ctx.edge_costs(edge.nbytes, src.lane) == {dst.lane: 0.0}
     assert runtime.scheduler.policy._rank["a"] == (
         runtime._mean_exec_estimate("a") + runtime._mean_exec_estimate("b"))
 
@@ -317,6 +317,41 @@ def test_graph_prepare_prices_each_edge_size_once(monkeypatch):
     assert len(graph.edges) > len(sizes)
 
 
+@pytest.mark.parametrize("make_graph", [path_tracer_graph, kmeans_pp_graph])
+def test_one_price_per_edge_size_and_device_pair(make_graph, monkeypatch):
+    """Ranking fills one price row per (edge size, source device), and
+    placement reads those rows: a lookahead run prices each (distinct edge
+    size, ordered device pair) exactly once, none of them in graph_select."""
+    graph = make_graph(scale=0.1)
+    runtime = GraphRuntime(SimCluster(heterogeneous_kmeans()), graph,
+                           GraphConfig(scheduler_policy="makespan-lookahead"))
+    calls = {"all": 0, "in_select": 0}
+    selecting = [False]
+    real_edge_cost = GraphRuntime._edge_cost
+    real_select = runtime.scheduler.policy.graph_select
+
+    def counting_edge_cost(self, nbytes, src, dst):
+        calls["all"] += 1
+        if selecting[0]:
+            calls["in_select"] += 1
+        return real_edge_cost(self, nbytes, src, dst)
+
+    def select(*args):
+        selecting[0] = True
+        try:
+            return real_select(*args)
+        finally:
+            selecting[0] = False
+
+    monkeypatch.setattr(GraphRuntime, "_edge_cost", counting_edge_cost)
+    monkeypatch.setattr(runtime.scheduler.policy, "graph_select", select)
+    result = runtime.run()
+    assert result.nodes_run == len(graph)
+    sizes = {edge.nbytes for edge in graph.edges}
+    d = len(runtime.devices)
+    assert calls == {"all": len(sizes) * d * (d - 1), "in_select": 0}
+
+
 # ---------------------------------------------------------------------------
 # lookahead policy unit behavior (no cluster needed)
 # ---------------------------------------------------------------------------
@@ -365,11 +400,12 @@ class _FakeDev:
 
 
 class _FakeCtx:
-    def __init__(self, now, edges, placements, cost):
+    def __init__(self, now, edges, placements, cost, lanes=()):
         self.now = now
         self._edges = edges
         self._placements = placements
         self._cost = cost
+        self._lanes = lanes
 
     def in_edges(self, name):
         return self._edges.get(name, [])
@@ -377,8 +413,8 @@ class _FakeCtx:
     def placement(self, name):
         return self._placements.get(name)
 
-    def edge_cost(self, edge, src_lane, dst_lane):
-        return self._cost
+    def edge_costs(self, nbytes, src_lane):
+        return {lane: self._cost for lane in self._lanes if lane != src_lane}
 
 
 def test_graph_select_prefers_data_locality():
@@ -390,14 +426,16 @@ def test_graph_select_prefers_data_locality():
     slow = _FakeDev("slow", speed=1.0)
     edge = type("E", (), {"src": "prev", "nbytes": 1 << 20})()
     ctx = _FakeCtx(now=0.0, edges={"n": [edge]},
-                   placements={"prev": "slow"}, cost=5.0)
+                   placements={"prev": "slow"}, cost=5.0,
+                   lanes=("fast", "slow"))
     predictions = {"fast": (1.0, False), "slow": (1.5, False)}
     decision = policy.graph_select("n", [fast, slow], predictions, ctx)
     assert decision.device is slow
     # ... but when moving is nearly free, the faster device wins.
     policy2 = LookaheadMakespanPolicy()
     ctx_free = _FakeCtx(now=0.0, edges={"n": [edge]},
-                        placements={"prev": "slow"}, cost=0.01)
+                        placements={"prev": "slow"}, cost=0.01,
+                        lanes=("fast", "slow"))
     decision2 = policy2.graph_select("n", [fast, slow], predictions, ctx_free)
     assert decision2.device is fast
 
@@ -421,6 +459,6 @@ def test_graph_select_records_finish_estimates_for_successors():
     # successor on the same lane starts no earlier than a's finish
     edge = type("E", (), {"src": "a", "nbytes": 8})()
     ctx2 = _FakeCtx(now=0.0, edges={"b": [edge]},
-                    placements={"a": "only"}, cost=0.0)
+                    placements={"a": "only"}, cost=0.0, lanes=("only",))
     decision = policy.graph_select("b", [dev], {"only": (1.0, False)}, ctx2)
     assert decision.makespan_s == pytest.approx(4.0)

@@ -9,6 +9,8 @@ Property families, straight from the design contract:
 * per-device utilization is within [0, 1] on randomized workloads,
 * the Chrome-trace export round-trips ``json.loads`` with non-decreasing
   ``ts`` per (pid, tid) track, for arbitrary event streams,
+* a serialized stream equals ``json.dumps`` of every event's ``to_dict``,
+  byte for byte, with and without the C accelerator,
 * the interval view's transfer/compute overlap equals a per-device rescan
   of the stream, which the run-end gauges read in one pass,
 * Satin/Cashmere and DAG runs derive the same run-end gauges, pinned by a
@@ -261,6 +263,97 @@ def test_chrome_trace_accepts_bus():
     trace = chrome_trace(bus)
     names = [e["name"] for e in trace["traceEvents"] if e.get("ph") == "X"]
     assert "k" in names
+
+
+# ---------------------------------------------------------------------------
+# serialization: one reused encoder, byte-identical to json.dumps
+# ---------------------------------------------------------------------------
+
+#: floats json.dumps spells specially or at the edge of repr
+_EDGE_FLOATS = (float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
+                5e-324, 2.2250738585072009e-308, 1e308, -1e308, 1e16, 0.1)
+#: control, separator, non-ASCII, astral and lone-surrogate characters
+_EDGE_CHARS = ("\x00", "\x1f", "\x7f", "\"", "\\", "/", "\u2028", "\xe9",
+               "\u96ea", "\U0001f600", "\ud800")
+
+
+class _Opaque:
+    """Not JSON: ``default=str`` spells it by its ``str``."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __str__(self):
+        return f"<opaque {self.tag}>"
+
+
+_texts = st.text(alphabet=st.one_of(st.characters(),
+                                    st.sampled_from(_EDGE_CHARS)),
+                 max_size=12)
+_floats = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+_scalars = st.one_of(
+    st.none(), st.booleans(), _floats, _texts,
+    st.integers(min_value=-2**200, max_value=2**200),
+    st.builds(_Opaque, st.integers(0, 9)))
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_texts, inner, max_size=4)),
+    max_leaves=12)
+
+
+@st.composite
+def _encodable_events(draw):
+    """Events with every optional member drawn or ``None`` and arbitrary
+    nested fields."""
+    return ObsEvent(
+        draw(st.integers(min_value=0, max_value=2**70)),
+        draw(_floats),
+        draw(_texts),
+        draw(st.none() | st.integers(min_value=-2**70, max_value=2**70)),
+        draw(st.none() | _texts),
+        draw(st.none() | _floats),
+        draw(st.none() | _floats),
+        draw(st.dictionaries(_texts, _values, max_size=5)))
+
+
+def _dumps(ev):
+    return json.dumps(ev.to_dict(), sort_keys=True, separators=(",", ":"),
+                      default=str)
+
+
+@pytest.mark.parametrize("accelerated", [True, False],
+                         ids=["c-encoder", "python-fallback"])
+@given(events=st.lists(_encodable_events(), max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_serialize_equals_json_dumps_byte_for_byte(accelerated, events):
+    with pytest.MonkeyPatch.context() as mp:
+        if accelerated:
+            assert json.encoder.c_make_encoder is not None
+        else:
+            mp.setattr(json.encoder, "c_make_encoder", None)
+        bus = EventBus()
+        bus.events.extend(events)
+        lines = [_dumps(ev) for ev in events]
+        assert [ev.serialize() for ev in events] == lines
+        assert bus.serialize() == "\n".join(lines)
+
+
+@pytest.mark.parametrize("accelerated", [True, False],
+                         ids=["c-encoder", "python-fallback"])
+def test_a_circular_field_fails_its_stream_only(accelerated, monkeypatch):
+    """The circular-reference check stays on, and a stream that fails it
+    leaves no marker behind for the next stream."""
+    if not accelerated:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    bus = EventBus(enabled=True)
+    loop = bus.emit("spawn", node=0, job_id=1)
+    loop.fields["self"] = loop.fields
+    with pytest.raises(ValueError, match="Circular reference"):
+        bus.serialize()
+    del loop.fields["self"]
+    bus.emit("crash", node=1, nested={"a": [1.5, None]})
+    assert bus.serialize() == "\n".join(_dumps(ev) for ev in bus.events)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,11 @@ def test_resource_capacity_two_runs_in_parallel():
     ends = []
 
     def user(hold):
-        with (yield res.request()):
+        req = yield res.request()
+        try:
             yield env.timeout(hold)
+        finally:
+            res.release(req)
         ends.append(env.now)
 
     env.process(user(5))
@@ -43,13 +46,16 @@ def test_resource_capacity_two_runs_in_parallel():
     assert ends == [5, 5]
 
 
-def test_resource_context_manager_releases():
+def test_resource_release_frees_the_slot():
     env = Environment()
     res = Resource(env, capacity=1)
 
     def user():
-        with (yield res.request()):
+        req = yield res.request()
+        try:
             yield env.timeout(1)
+        finally:
+            res.release(req)
         return res.count
 
     assert env.run(env.process(user())) == 0
@@ -74,9 +80,12 @@ def test_hop_claims_grant_in_fifo_order_and_free_their_owner():
             res.release(self.req)
 
     def user():
-        with (yield res.request()):
+        req = yield res.request()
+        try:
             log.append(("proc", env.now))
             yield env.timeout(1)
+        finally:
+            res.release(req)
 
     gc.disable()  # the owners must be freed by reference counting alone
     try:
