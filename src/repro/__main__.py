@@ -68,9 +68,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     sweep_p.add_argument("--force", action="store_true",
                          help="ignore cached results, re-run every cell "
                               "(fresh results are still written back)")
-    sweep_p.add_argument("--resume", action="store_true",
-                         help="resume a previous partial sweep from the "
-                              "cache (explicit spelling of the default)")
     sweep_p.add_argument("--retries", type=int, default=1,
                          help="extra attempts per failed cell (default: 1)")
     sweep_p.add_argument("--bench-out", type=pathlib.Path, default=None,
@@ -142,12 +139,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     analyze_p.add_argument("--root", type=pathlib.Path, default=None,
                            help="directory tree for the static pass "
                                 "(default: the installed repro package)")
-    analyze_p.add_argument("--baseline", type=pathlib.Path, default=None,
-                           help="baseline file of accepted findings "
-                                "(default: the checked-in baseline)")
-    analyze_p.add_argument("--write-baseline", action="store_true",
-                           help="regenerate the baseline from the current "
-                                "static findings instead of failing")
     analyze_p.add_argument("--seed", type=int, default=42,
                            help="seed for the race-sanitized run "
                                 "(default: 42)")
@@ -198,8 +189,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return analyze_main(static=args.static, races=args.races,
                             all_checks=args.all_checks,
                             as_json=args.as_json, root=args.root,
-                            baseline_path=args.baseline,
-                            write_baseline=args.write_baseline,
                             seed=args.seed)
 
     if args.command == "serve":
@@ -252,7 +241,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             requested["scale"] = args.scale
         return sweep_main(
             args.experiments, jobs=args.jobs, cache_dir=args.cache_dir,
-            no_cache=args.no_cache, force=args.force, resume=args.resume,
+            no_cache=args.no_cache, force=args.force,
             retries=args.retries, bench_out=args.bench_out, out=args.out,
             runner_kwargs=requested)
 

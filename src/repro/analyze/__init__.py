@@ -7,8 +7,8 @@ verifier's sibling; see :mod:`repro.mcl.verify`):
   runtime source with stable ``REP1xx`` codes: process-global randomness,
   wall-clock reads, unordered set/dict iteration feeding ordering-sensitive
   sinks, ``id()``-based ordering, mutable default arguments and
-  ``os.environ`` reads in hot paths.  Inline ``# analyze: ignore[CODE]``
-  suppressions and a per-module baseline keep justified cases out of CI.
+  ``os.environ`` reads in hot paths.  Inline ``# analyze: ignore[CODE]
+  why`` suppressions keep justified cases out of CI.
 * **dynamic sanitizer** (:mod:`.races`) — a flag-gated
   (``CashmereConfig(detect_races=True)``) happens-before race detector:
   Satin jobs carry vector clocks merged along spawn/sync/steal/result
@@ -40,11 +40,10 @@ from .findings import (
     scan_suppressions,
 )
 from .races import Access, RaceDetector, RaceReport, VectorClock
-from .static import Baseline, analyze_file, analyze_source, analyze_tree
+from .static import analyze_file, analyze_source, analyze_tree
 
 __all__ = [
     "Access",
-    "Baseline",
     "Finding",
     "RaceDetector",
     "RaceReport",

@@ -3,9 +3,8 @@
 Two prongs, selectable independently:
 
 * ``--static`` — the REP1xx AST lints over the installed ``repro``
-  package (or ``--root PATH``), filtered through inline suppressions and
-  the checked-in baseline.  ``--write-baseline`` regenerates the baseline
-  from the current findings instead of failing on them.
+  package (or ``--root PATH``), filtered through inline
+  ``# analyze: ignore[CODE] why`` suppressions.
 * ``--races APP`` — run one application with the happens-before race
   sanitizer attached (``detect_races=True``) and report every ``REP201``
   race.  ``APP`` is a builtin (kmeans, matmul, nbody, raytracer — all
@@ -23,7 +22,6 @@ Usage::
 
     python -m repro analyze --static
     python -m repro analyze --static --json
-    python -m repro analyze --static --write-baseline
     python -m repro analyze --races raytracer
     python -m repro analyze --races race-demo      # demonstrates a race
     python -m repro analyze --all
@@ -37,7 +35,7 @@ import sys
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .findings import Finding, has_errors, render_json, render_text
-from .static import DEFAULT_BASELINE_PATH, Baseline, analyze_tree
+from .static import analyze_tree
 
 __all__ = ["RACE_APPS", "analyze_main", "run_race_sanitizer"]
 
@@ -88,28 +86,16 @@ def run_race_sanitizer(app_name: str, seed: int = 42) -> List[Finding]:
 def analyze_main(static: bool = False, races: Optional[str] = None,
                  all_checks: bool = False, as_json: bool = False,
                  root: Optional[pathlib.Path] = None,
-                 baseline_path: Optional[pathlib.Path] = None,
-                 write_baseline: bool = False, seed: int = 42) -> int:
+                 seed: int = 42) -> int:
     """Entry point of the ``analyze`` subcommand.  Returns the exit status."""
     if not (static or races or all_checks):
         print("nothing to analyze: give --static, --races APP, or --all",
               file=sys.stderr)
         return 2
-    baseline_path = baseline_path or DEFAULT_BASELINE_PATH
     sections: List[Tuple[str, List[Finding]]] = []
 
     if static or all_checks:
-        if write_baseline:
-            findings = analyze_tree(root)
-            Baseline.from_findings(findings).save(baseline_path)
-            print(f"wrote {baseline_path} "
-                  f"({len(findings)} accepted finding(s))")
-            if races is None and not all_checks:
-                return 0
-        else:
-            baseline = Baseline.load(baseline_path)
-            sections.append(
-                ("static", analyze_tree(root, baseline=baseline)))
+        sections.append(("static", analyze_tree(root)))
 
     race_targets: List[str] = []
     if races is not None:

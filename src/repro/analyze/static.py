@@ -31,25 +31,21 @@ dict iteration is **not** a source — CPython dicts are insertion-ordered
 ``dict.fromkeys(a_set)``) carry the taint into their views.
 
 Justified hazards are acknowledged inline (``# analyze: ignore[REP102]
-why``) or absorbed by a per-module baseline file; see docs/analyze.md.
+why``), the one suppression path; see docs/analyze.md.
 """
 
 from __future__ import annotations
 
 import ast
 import fnmatch
-import json
 import pathlib
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .findings import Finding, filter_suppressed, scan_suppressions
 
 __all__ = [
     "WALLCLOCK_OK",
     "ENVIRON_HOT",
-    "Baseline",
-    "DEFAULT_BASELINE_PATH",
     "analyze_source",
     "analyze_file",
     "analyze_tree",
@@ -538,61 +534,6 @@ class _Analyzer(ast.NodeVisitor):
 
 
 # ---------------------------------------------------------------------------
-# baseline
-# ---------------------------------------------------------------------------
-
-DEFAULT_BASELINE_PATH = pathlib.Path(__file__).with_name("baseline.json")
-
-
-@dataclass
-class Baseline:
-    """Accepted findings per (module, code): ``counts[module][code] -> n``.
-
-    The baseline absorbs up to ``n`` findings of a code in a module, so a
-    known, audited debt does not block CI while *new* findings of the same
-    code in the same module still fail the gate.  Format on disk: one JSON
-    object, sorted keys, written by ``repro analyze --static
-    --write-baseline``.
-    """
-
-    counts: Dict[str, Dict[str, int]] = field(default_factory=dict)
-
-    @classmethod
-    def load(cls, path: pathlib.Path) -> "Baseline":
-        if not path.exists():
-            return cls()
-        data = json.loads(path.read_text())
-        return cls(counts={str(m): {str(c): int(n) for c, n in codes.items()}
-                           for m, codes in data.items()})
-
-    def save(self, path: pathlib.Path) -> None:
-        path.write_text(json.dumps(self.counts, indent=2, sort_keys=True)
-                        + "\n")
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding]) -> "Baseline":
-        counts: Dict[str, Dict[str, int]] = {}
-        for f in findings:
-            module = f.origin or "<unknown>"
-            per = counts.setdefault(module, {})
-            per[f.code] = per.get(f.code, 0) + 1
-        return cls(counts=counts)
-
-    def filter(self, findings: Sequence[Finding]) -> List[Finding]:
-        """Drop findings covered by the baseline; keep the overflow."""
-        budget = {(m, c): n for m, codes in self.counts.items()
-                  for c, n in codes.items()}
-        out: List[Finding] = []
-        for f in sorted(findings, key=Finding.sort_key):
-            key = (f.origin or "<unknown>", f.code)
-            if budget.get(key, 0) > 0:
-                budget[key] -= 1
-            else:
-                out.append(f)
-        return out
-
-
-# ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
 
@@ -640,17 +581,13 @@ def analyze_file(path: pathlib.Path, *,
                           filename=str(path))
 
 
-def analyze_tree(root: Optional[pathlib.Path] = None, *,
-                 baseline: Optional[Baseline] = None) -> List[Finding]:
-    """Findings for every ``*.py`` under ``root``, baseline-filtered.
+def analyze_tree(root: Optional[pathlib.Path] = None) -> List[Finding]:
+    """Findings for every ``*.py`` under ``root``, suppression-filtered.
 
-    Files are visited in sorted order so output (and the baseline format)
-    is stable.
+    Files are visited in sorted order so output is stable.
     """
     root = root if root is not None else source_root()
     findings: List[Finding] = []
     for path in sorted(root.rglob("*.py")):
         findings.extend(analyze_file(path, root=root))
-    if baseline is not None:
-        findings = baseline.filter(findings)
     return sorted(findings, key=Finding.sort_key)

@@ -28,7 +28,7 @@ from .base import FLOAT_BYTES, CashmereApplication
 
 __all__ = ["KMeansApp", "KMeansTask", "nearest_centroid",
            "reference_kmeans_iteration",
-           "paper_app", "small_app", "PAPER_POINTS", "PAPER_K", "PAPER_D",
+           "small_app", "PAPER_POINTS", "PAPER_K", "PAPER_D",
            "PAPER_ITERATIONS"]
 
 PAPER_POINTS = 268_000_000
@@ -456,11 +456,6 @@ class KMeansApp(CashmereApplication):
         _, sums, counts = reference_kmeans_iteration(
             self.data[task.lo:task.hi], self.centroids)
         return sums, counts
-
-
-def paper_app() -> KMeansApp:
-    """Paper-scale configuration: 268M points, k=4096, d=4, 3 iterations."""
-    return KMeansApp(leaf_points=1 << 20)
 
 
 def small_app(n_points: int = 4096, k: int = 16, d: int = 4,

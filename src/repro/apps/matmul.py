@@ -23,8 +23,7 @@ import numpy as np
 
 from .base import FLOAT_BYTES, CashmereApplication
 
-__all__ = ["MatmulApp", "MatmulTask", "reference_matmul",
-           "PAPER_N", "paper_app", "small_app"]
+__all__ = ["MatmulApp", "MatmulTask", "PAPER_N", "small_app"]
 
 #: the paper's problem size (Sec. V-B2)
 PAPER_N = 32768
@@ -132,11 +131,6 @@ class MatmulTask:
     size: int
 
 
-def reference_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Reference result the distributed computation must match."""
-    return a @ b
-
-
 class MatmulApp(CashmereApplication):
     """Blocked matmul over the Cashmere/Satin divide-and-conquer model."""
 
@@ -222,11 +216,6 @@ class MatmulApp(CashmereApplication):
                 c[t.row0:t.row0 + size, t.col0:t.col0 + size] = block
                 out[i] = float(block.sum())
         return out
-
-
-def paper_app(optimized_blocks: bool = True) -> MatmulApp:
-    """The paper-scale configuration (32768^2, 2048-blocks)."""
-    return MatmulApp(n=PAPER_N, leaf_block=2048)
 
 
 def small_app(n: int = 256, leaf_block: int = 64,

@@ -26,7 +26,7 @@ import numpy as np
 from .base import FLOAT_BYTES, CashmereApplication
 
 __all__ = ["NBodyApp", "NBodyTask", "reference_nbody_step",
-           "paper_app", "small_app", "PAPER_BODIES", "PAPER_ITERATIONS"]
+           "small_app", "PAPER_BODIES", "PAPER_ITERATIONS"]
 
 PAPER_BODIES = 2_000_000
 PAPER_ITERATIONS = 2
@@ -344,11 +344,6 @@ class NBodyApp(CashmereApplication):
         if self.data is not None:
             self.data[0][:] = self._staged_pos
             self.data[1][:] = self._staged_vel
-
-
-def paper_app() -> NBodyApp:
-    """Paper-scale configuration: 2M bodies, 2 iterations."""
-    return NBodyApp()
 
 
 def small_app(n_bodies: int = 512, iterations: int = 2,

@@ -23,7 +23,7 @@ import numpy as np
 from .base import FLOAT_BYTES, CashmereApplication
 
 __all__ = ["RaytracerApp", "RayTask", "cornell_scene", "reference_trace",
-           "paper_app", "small_app", "PAPER_WIDTH", "PAPER_HEIGHT",
+           "small_app", "PAPER_WIDTH", "PAPER_HEIGHT",
            "PAPER_SAMPLES"]
 
 PAPER_WIDTH = 16384
@@ -335,11 +335,6 @@ class RaytracerApp(CashmereApplication):
                                 self.spheres, self.material)
         self.image[task.row0:task.row0 + task.nrows, :] = block
         return float(block.sum())
-
-
-def paper_app() -> RaytracerApp:
-    """Paper-scale configuration: 16384x8192, 500 samples."""
-    return RaytracerApp()
 
 
 def small_app(width: int = 32, height: int = 16, samples: int = 4,

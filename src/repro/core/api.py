@@ -18,7 +18,6 @@ copies (Sec. II-C1)::
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Dict, Generator, Optional
 
 from ..devices.device import SimDevice
@@ -85,21 +84,12 @@ class KernelLaunch:
             raise KernelLaunchError("a KernelLaunch is single-use")
         self.launched = True
         kernel = self.kernel
-        runtime = kernel.runtime
-        if self.pinned is not None:
-            decision = self.pinned.decision  # the pin owns the reservation
-            release = None
-        else:
-            decision = runtime.scheduler.choose(kernel.node.devices, kernel.name)
-            release = partial(runtime.scheduler.job_finished, decision)
-        device = decision.device
-        compiled = runtime._node_kernels[kernel.node.rank][kernel.name][
-            device.spec.name]
-        profile = compiled.profile(params, h2d_bytes=h2d_bytes,
-                                   d2h_bytes=d2h_bytes, label=kernel.name)
-        yield from device.launch(profile, kernel.name,
-                                 stream=runtime.config.out_of_core,
-                                 release=release)
+        # the pin owns its reservation; an unpinned launch has the
+        # scheduler choose (and release) a device
+        decision = self.pinned.decision if self.pinned is not None else None
+        yield from kernel.runtime._launch(kernel.node, kernel.name, params,
+                                          h2d_bytes, d2h_bytes,
+                                          decision=decision)
 
 
 class KernelHandle:

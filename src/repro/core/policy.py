@@ -28,7 +28,7 @@ fields, so one replay tool can audit every placement decision a run made.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Type, TypeVar
+from typing import Dict, List, Optional, Tuple, Type, TypeVar
 
 from ..obs.bus import EventBus
 
@@ -53,12 +53,6 @@ class SchedulingPolicy:
     kind: str = ""
     #: registered name (the config/CLI identifier)
     name: str = ""
-    #: whether this policy emits ``sched_decision`` events.  The paper's
-    #: baseline policies keep this ``False`` where emission would change the
-    #: historical event-stream contract (the device scheduler emits through
-    #: its own snapshot path; the random steal policy is silent so decision
-    #: counts keep matching ``DeviceScheduler.decisions``).
-    emits_decisions: bool = False
 
     def __init__(self) -> None:
         self.obs: Optional[EventBus] = None
@@ -75,11 +69,10 @@ class SchedulingPolicy:
 
         Every decision event carries ``policy``, ``scope`` and ``chosen``;
         callers add kind-specific snapshot fields (pending work, victim
-        order, weights, ...).  No-op when unbound, disabled, or when the
-        policy opts out via ``emits_decisions``.
+        order, weights, ...).  No-op when unbound or disabled.  A policy
+        that never calls it (the paper's random steal sweep) emits no
+        decision events at all.
         """
-        if not self.emits_decisions:
-            return
         obs = self.obs
         if obs is None or not obs.enabled:
             return
@@ -130,7 +123,3 @@ def policy_class(kind: str, name: str) -> Type[SchedulingPolicy]:
 def create_policy(kind: str, name: str, **kwargs: object) -> SchedulingPolicy:
     """Instantiate a registered policy by kind and name."""
     return policy_class(kind, name)(**kwargs)
-
-
-#: hook type for callers that want to enumerate both families
-PolicyFactory = Callable[..., SchedulingPolicy]

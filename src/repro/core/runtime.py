@@ -31,7 +31,7 @@ from ..mcl.kernels import KernelLibrary
 from ..satin.comm import RuntimeInfo
 from ..satin.job import DivideConquerApp
 from ..satin.runtime import RuntimeConfig, SatinRuntime
-from .scheduler import DeviceScheduler
+from .scheduler import DeviceScheduler, SchedulingDecision
 
 __all__ = ["CashmereConfig", "CashmereRuntime", "KernelLaunchError",
            "KernelVerificationError"]
@@ -178,17 +178,37 @@ class CashmereRuntime(SatinRuntime):
     def _launch_leaf_kernel(self, node: ComputeNode, task: Any,
                             kernel_name: str) -> Generator:
         app = self.app
-        decision = self.scheduler.choose(node.devices, kernel_name)
-        device = decision.device
-        compiled = self._node_kernels[node.rank][kernel_name][device.spec.name]
-        profile = compiled.profile(app.leaf_kernel_params(task),
-                                   h2d_bytes=app.leaf_h2d_bytes(task),
-                                   d2h_bytes=app.leaf_d2h_bytes(task),
-                                   label=kernel_name)
         # raises MemoryError (-> CPU fallback) if the leaf cannot fit
-        launches = yield from device.launch(
-            profile, kernel_name, stream=self.config.out_of_core,
-            release=partial(self.scheduler.job_finished, decision))
+        launches = yield from self._launch(
+            node, kernel_name, app.leaf_kernel_params(task),
+            app.leaf_h2d_bytes(task), app.leaf_d2h_bytes(task))
         if launches > 1:
             self.stats.count_out_of_core()
         return self._leaf_token(task)
+
+    def _launch(self, node: ComputeNode, kernel_name: str,
+                params: Dict[str, Any], h2d_bytes: float, d2h_bytes: float,
+                decision: Optional[SchedulingDecision] = None) -> Generator:
+        """Process: one kernel launch on ``node``, for a default leaf and
+        for ``MCL.launch`` alike.
+
+        With no ``decision`` the device scheduler chooses the device, and
+        the launch releases that reservation when it ends.  A pinned device
+        passes its own decision and keeps its reservation.  The node's
+        compiled version for the device prices ``params`` and the byte
+        counts, and the device runs it, streamed out of core when
+        ``CashmereConfig.out_of_core`` is set.  Returns the number of
+        kernel launches it took (:meth:`SimDevice.launch`).
+        """
+        release = None
+        if decision is None:
+            decision = self.scheduler.choose(node.devices, kernel_name)
+            release = partial(self.scheduler.job_finished, decision)
+        device = decision.device
+        compiled = self._node_kernels[node.rank][kernel_name][device.spec.name]
+        profile = compiled.profile(params, h2d_bytes=h2d_bytes,
+                                   d2h_bytes=d2h_bytes, label=kernel_name)
+        launches = yield from device.launch(
+            profile, kernel_name, stream=self.config.out_of_core,
+            release=release)
+        return launches

@@ -57,7 +57,6 @@ class DevicePlacementPolicy(SchedulingPolicy):
     """
 
     kind = "device"
-    emits_decisions = True
 
     def select(self, devices: List[SimDevice],
                predictions: Dict[str, Tuple[float, bool]]

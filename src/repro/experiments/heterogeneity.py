@@ -23,26 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..cluster.das4 import (
-    heterogeneous_kmeans,
-    heterogeneous_nbody,
-    heterogeneous_small,
-)
 from ..sweep.spec import CellResult, ClusterSpec, RunSpec, run_cells_inline
 from .harness import ExperimentResult, experiment
 
-__all__ = ["HeterogeneityResult", "heterogeneous_run", "table3", "fig15",
-           "HET_CONFIGS"]
+__all__ = ["HeterogeneityResult", "heterogeneous_run", "table3", "fig15"]
 
-#: application -> heterogeneous configuration builder (Table III)
-HET_CONFIGS = {
-    "raytracer": heterogeneous_small,
-    "matmul": heterogeneous_small,
-    "k-means": heterogeneous_kmeans,
-    "n-body": heterogeneous_nbody,
-}
-
-#: application -> the :class:`ClusterSpec` kind naming the same configuration
+#: application -> the :class:`ClusterSpec` kind of its heterogeneous
+#: configuration (Table III)
 _HET_KINDS = {
     "raytracer": "het_small",
     "matmul": "het_small",
@@ -88,14 +75,14 @@ def _one_node_cell(app_name: str, devices: Tuple[str, ...],
 
 
 def _het_plan(app_name: str, seed: int, homogeneous_nodes: int) -> _HetPlan:
-    config = HET_CONFIGS[app_name]()
+    cluster = ClusterSpec(kind=_HET_KINDS[app_name])
+    config = cluster.build()
     node_types: Dict[Tuple[str, ...], int] = {}
     for devices in config.nodes:
         node_types[devices] = node_types.get(devices, 0) + 1
     roles: List[object] = ["het"]
     specs: List[RunSpec] = [RunSpec(
-        system="cashmere-opt", app=app_name,
-        cluster=ClusterSpec(kind=_HET_KINDS[app_name]), seed=seed,
+        system="cashmere-opt", app=app_name, cluster=cluster, seed=seed,
         label=f"{app_name}/{config.name}/seed{seed}")]
     for devices in node_types:
         roles.append(("one", devices))
@@ -152,7 +139,7 @@ def _run_all(seed: int, cell_runner, homogeneous_nodes: int = 16
              ) -> Dict[str, HeterogeneityResult]:
     """All four applications' grids in one batch (one pool submission)."""
     plans = [_het_plan(app_name, seed, homogeneous_nodes)
-             for app_name in HET_CONFIGS]
+             for app_name in _HET_KINDS]
     all_specs = [spec for plan in plans for spec in plan.specs]
     all_results = (cell_runner or run_cells_inline)(all_specs)
     out: Dict[str, HeterogeneityResult] = {}

@@ -22,7 +22,6 @@ from .comm import (
     SharedObjectUpdate,
     StealReply,
     StealRequest,
-    UserMessage,
 )
 from .ft import FaultTolerance
 from .job import DivideConquerApp, Job, LeafContext
@@ -54,7 +53,6 @@ __all__ = [
     "StealReply",
     "ResultReturn",
     "SharedObjectUpdate",
-    "UserMessage",
     "RuntimeInfo",
     "CommLayer",
     "CommChannel",

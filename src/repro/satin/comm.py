@@ -8,7 +8,7 @@ over :class:`repro.sim.network.Endpoint`:
 
 * **typed messages** — one frozen-shape dataclass per protocol message
   (:class:`StealRequest`, :class:`StealReply`, :class:`ResultReturn`,
-  :class:`SharedObjectUpdate`, :class:`UserMessage`, :class:`RuntimeInfo`);
+  :class:`SharedObjectUpdate`, :class:`RuntimeInfo`);
   the wire tag is a class attribute, so the tag/shape pairing lives in
   exactly one place,
 * **dispatch** — each node runs one :class:`CommChannel` whose callback
@@ -32,7 +32,7 @@ that is :mod:`repro.satin.runtime` (orchestration), :mod:`repro.satin.steal`
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -56,7 +56,6 @@ __all__ = [
     "StealReply",
     "ResultReturn",
     "SharedObjectUpdate",
-    "UserMessage",
     "RuntimeInfo",
     "CommChannel",
     "CommLayer",
@@ -116,14 +115,6 @@ class SharedObjectUpdate(SatinMessage):
 
 
 @dataclass(slots=True)
-class UserMessage(SatinMessage):
-    """Application-level message (delivered to ``app.on_message``)."""
-
-    WIRE_TAG: ClassVar[str] = "user"
-    payload: Any
-
-
-@dataclass(slots=True)
 class RuntimeInfo(SatinMessage):
     """The master's runtime-information broadcast at initialization
     (Sec. III-B: "rank 0 becomes the master and broadcasts run-time
@@ -143,8 +134,6 @@ class _PendingRequest:
 
     event: Event
     dst: int
-    #: set when the reply (or a failure notification) resolved the event
-    resolved: bool = field(default=False)
 
 
 class CommLayer:
@@ -203,7 +192,6 @@ class CommLayer:
         pending = self._pending.get(req_id)
         if pending is None or pending.event.triggered:
             return False
-        pending.resolved = True
         pending.event.succeed(value)
         return True
 
@@ -222,7 +210,6 @@ class CommLayer:
         failed = 0
         for req_id, pending in list(self._pending.items()):
             if pending.dst == dead_rank and not pending.event.triggered:
-                pending.resolved = True
                 pending.event.succeed(None)
                 failed += 1
         return failed

@@ -23,9 +23,6 @@ class WorkDeque:
         self.env = env
         self.items: List[Job] = []
         self._waiters: List[Event] = []
-        #: lifetime counters
-        self.pushed = 0
-        self.stolen = 0
         #: optional callable(depth) invoked after every push — the metrics
         #: registry uses it to sample the queue-depth histogram
         self.observer = observer
@@ -43,7 +40,6 @@ class WorkDeque:
         bypassed it — so idle-node pushes still appear in the depth
         histogram instead of silently vanishing from the metrics.
         """
-        self.pushed += 1
         if self._waiters:
             self._waiters.pop(0).succeed(job)  # direct handoff fast path
         else:
@@ -58,7 +54,6 @@ class WorkDeque:
     def steal(self) -> Optional[Job]:
         """Non-blocking take from the old end (thief's order)."""
         if self.items:
-            self.stolen += 1
             return self.items.pop(0)
         return None
 
@@ -78,5 +73,4 @@ class WorkDeque:
             self._waiters.remove(ev)
         elif ev.triggered and ev.value is not None:
             # The event won a job after the caller stopped caring.
-            self.pushed -= 1  # don't double-count
             self.push(ev.value)

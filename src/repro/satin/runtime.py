@@ -49,7 +49,6 @@ from .comm import (
     SharedObjectUpdate,
     StealReply,
     StealRequest,
-    UserMessage,
 )
 from .ft import FaultTolerance
 from .job import DependencyTracker, DivideConquerApp, Job, LeafContext
@@ -190,7 +189,6 @@ class SatinRuntime:
         self._sync_stealing: Dict[int, bool] = {}
         self._shutdown = False
         self._started = False
-        self._finished = False
         self._run_start = 0.0
         for node in cluster.nodes:
             self._attach_channel(node)
@@ -209,8 +207,6 @@ class SatinRuntime:
               self._absorb_result(node, msg))
         ch.on(SharedObjectUpdate, lambda msg, node=node:
               self._on_shared_update(node, msg))
-        ch.on(UserMessage, lambda msg, node=node:
-              self._on_user_message(node, msg))
 
     # ------------------------------------------------------------------
     # public API
@@ -266,7 +262,6 @@ class SatinRuntime:
     def _finish_run(self, start: float) -> None:
         """Shared end-of-run bookkeeping: makespan + derived gauges."""
         self._shutdown = True
-        self._finished = True
         self.stats.makespan_s = self.env.now - start
         self._finalize_metrics()
 
@@ -453,11 +448,6 @@ class SatinRuntime:
         obj = self._shared_objects.get(msg.name)
         if obj is not None:
             obj.apply_update(node.rank, msg)
-
-    def _on_user_message(self, node: ComputeNode, msg: UserMessage) -> None:
-        handler = getattr(self.app, "on_message", None)
-        if handler is not None:
-            handler(node, msg.payload)
 
     # ------------------------------------------------------------------
     # stealing
@@ -673,7 +663,7 @@ class SatinRuntime:
                 yield self.env.process(self._execute_job(node, wait_ev.value))
                 continue
             child_events = [by_id[d].done for d in tracker.remaining("sync")]
-            yield self.env.any_of(child_events + [wait_ev])
+            yield first_of(self.env, *child_events, wait_ev)
             if wait_ev.triggered:
                 yield self.env.process(self._execute_job(node, wait_ev.value))
             else:

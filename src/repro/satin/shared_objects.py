@@ -5,8 +5,13 @@ lives on every node, write methods are broadcast asynchronously (no global
 ordering — the user chooses the consistency they need), and *guards* let a
 job wait until its local replica satisfies a predicate before executing.
 
-The iterative applications use this to distribute updated centroids
-(k-means) and body positions (n-body) between iterations.
+The iterative applications do not use shared objects: k-means
+distributes its updated centroids with
+:meth:`~repro.satin.runtime.SatinRuntime.broadcast_from` and n-body
+exchanges body positions with
+:meth:`~repro.satin.runtime.SatinRuntime.allgather`.  The only code in
+the package that creates a shared object is the race sanitizer's
+demonstration fixture (:mod:`repro.analyze.fixture_app`).
 
 Because writes are unordered by design, concurrent jobs touching one
 shared object can race.  When the runtime carries a

@@ -79,7 +79,6 @@ class RandomStealPolicy(StealPolicy):
     """
 
     name = "random"
-    emits_decisions = False
 
     def victim_order(self, thief: int, candidates: Sequence[int],
                      rng: random.Random) -> List[int]:
@@ -100,7 +99,6 @@ class ClusterAwareStealPolicy(StealPolicy):
     """
 
     name = "cluster-aware"
-    emits_decisions = True
 
     def __init__(self, group_size: int = 4) -> None:
         super().__init__()
@@ -135,7 +133,6 @@ class AdaptiveStealPolicy(StealPolicy):
     """
 
     name = "adaptive"
-    emits_decisions = True
 
     #: EWMA smoothing: score <- (1-alpha)*score + alpha*hit
     alpha = 0.25

@@ -82,7 +82,6 @@ class FairShareAdmission(AdmissionPolicy):
     """Weighted fair queueing over tenant admission queues."""
 
     name = "fair-share"
-    emits_decisions = True
 
     def select(self, tenants: Sequence[TenantState]) -> Optional[TenantState]:
         if not tenants:
@@ -106,7 +105,6 @@ class StrictPriorityAdmission(AdmissionPolicy):
     """Higher priority level always wins; fair share within a level."""
 
     name = "strict-priority"
-    emits_decisions = True
 
     def select(self, tenants: Sequence[TenantState]) -> Optional[TenantState]:
         if not tenants:

@@ -18,8 +18,9 @@ outside world:
 * **cancellation** — ``job.cancel_requested`` abandons the simulation at
   the next slice boundary.
 
-The same slicing logic runs without asyncio (:meth:`run_sync`) so the
-hypothesis and determinism suites can drive it deterministically.
+The same slicing logic runs without asyncio (:func:`run_admitted_sync`)
+so the scenario, property and determinism suites can drive it
+deterministically.
 """
 
 from __future__ import annotations
@@ -139,13 +140,6 @@ class JobExecution:
                 return
 
     # -- drivers -----------------------------------------------------------
-    def run_sync(self) -> JobRecord:
-        """Run to a terminal state without an event loop (test harness)."""
-        self.start()
-        while self.step_slice():
-            pass
-        return self.finalize()
-
     async def run_async(self) -> JobRecord:
         """Run to a terminal state, yielding to the loop between slices."""
         self.start()

@@ -61,8 +61,21 @@ TERMINAL_STATES = frozenset(
     {JobState.DONE, JobState.FAILED, JobState.CANCELLED})
 
 
+class _Response:
+    """What the four response types share: the wire form is ``ok`` and
+    ``type`` (class attributes of each type) followed by the fields."""
+
+    ok: bool
+    type: str
+
+    def to_wire(self) -> Dict[str, Any]:
+        out = {"ok": self.ok, "type": self.type}
+        out.update(asdict(self))
+        return out
+
+
 @dataclass
-class Submitted:
+class Submitted(_Response):
     """A submission was accepted and queued."""
 
     job_id: int
@@ -73,14 +86,9 @@ class Submitted:
     ok = True
     type = "submitted"
 
-    def to_wire(self) -> Dict[str, Any]:
-        out = {"ok": True, "type": self.type}
-        out.update(asdict(self))
-        return out
-
 
 @dataclass
-class RetryLater:
+class RetryLater(_Response):
     """Typed backpressure: the submission was *not* accepted, try again.
 
     Reasons (stable identifiers):
@@ -100,14 +108,9 @@ class RetryLater:
     ok = False
     type = "retry_later"
 
-    def to_wire(self) -> Dict[str, Any]:
-        out = {"ok": False, "type": self.type}
-        out.update(asdict(self))
-        return out
-
 
 @dataclass
-class JobReport:
+class JobReport(_Response):
     """Status/result of one job (terminal or in flight)."""
 
     job_id: int
@@ -127,18 +130,13 @@ class JobReport:
     ok = True
     type = "job"
 
-    def to_wire(self) -> Dict[str, Any]:
-        out = {"ok": True, "type": self.type}
-        out.update(asdict(self))
-        return out
-
     @property
     def terminal(self) -> bool:
         return self.state in {s.value for s in TERMINAL_STATES}
 
 
 @dataclass
-class ServeError:
+class ServeError(_Response):
     """A request failed for a non-backpressure reason (unknown tenant,
     unknown job id, malformed request)."""
 
@@ -148,11 +146,6 @@ class ServeError:
 
     ok = False
     type = "error"
-
-    def to_wire(self) -> Dict[str, Any]:
-        out = {"ok": False, "type": self.type}
-        out.update(asdict(self))
-        return out
 
 
 # ---------------------------------------------------------------------------

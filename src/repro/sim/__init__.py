@@ -9,7 +9,6 @@ endpoints keep delivered messages for one armed receiver hop.
 """
 
 from .engine import (
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -28,7 +27,6 @@ from .network import (
 from .resources import Container, Resource
 
 __all__ = [
-    "AnyOf",
     "Environment",
     "Event",
     "Interrupt",

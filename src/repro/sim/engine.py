@@ -32,7 +32,7 @@ import heapq
 import itertools
 from collections import deque
 from types import MethodType
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, List, Optional
 
 from ..obs.bus import EventBus
 
@@ -41,7 +41,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AnyOf",
     "first_of",
     "Interrupt",
     "SimulationError",
@@ -138,8 +137,8 @@ class Event:
 
     def _first_of_check(self, ev: "Event") -> None:
         """Callback used by :func:`first_of`: the first constituent to be
-        dispatched triggers us; the second finds us triggered and is a
-        no-op."""
+        dispatched triggers us; later ones find us triggered and are
+        no-ops."""
         if self._value is _PENDING:
             self.succeed({ev: ev._value})
 
@@ -299,83 +298,30 @@ class Process(Event):
         return f"<Process {name}>"
 
 
-class AnyOf(Event):
-    """Triggers once any constituent event has succeeded, or at once when
-    there are none; the first constituent failure fails it instead.
+def first_of(env: "Environment", *events: Event) -> Event:
+    """An event that triggers once the first of ``events`` succeeds: a
+    steal request racing its reply timeout, an idle worker racing its
+    backoff timer against the deque, a sync racing its children against
+    new local work.
 
-    The value maps every constituent that holds a successful value at that
-    moment to its value.  The condition lets go of its constituents as soon
-    as it has its value: one still pending then keeps this condition in its
-    callbacks, so holding on to it would make a reference cycle.
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        constituents = tuple(events)
-        for ev in constituents:
-            if ev.env is not env:
-                raise SimulationError("mixing environments in a condition")
-        self._events: Tuple[Event, ...] = constituents
-        succeeded = not constituents
-        for ev in constituents:
-            if ev.callbacks is None and self._observe(ev):
-                succeeded = True
-        if succeeded and self._value is _PENDING:
-            self._finish()
-            return
-        for ev in constituents:
-            if ev.callbacks is not None:
-                ev.callbacks.append(self._check)
-
-    def _observe(self, ev: Event) -> bool:
-        """Note a processed constituent; a failure fails the condition
-        unless it already has a value.  Returns whether ``ev`` succeeded."""
-        if ev._ok:
-            return True
-        ev._defused = True
-        if self._value is _PENDING:
-            self._events = ()
-            self.fail(ev._value)
-        return False
-
-    def _check(self, ev: Event) -> None:
-        if self._value is _PENDING and self._observe(ev):
-            self._finish()
-
-    def _finish(self) -> None:
-        events, self._events = self._events, ()
-        self.succeed({ev: ev._value for ev in events
-                      if ev._value is not _PENDING and ev._ok})
-
-
-def first_of(env: "Environment", a: Event, b: Event) -> Event:
-    """Lean two-event :class:`AnyOf` for the hottest wait sites (a steal
-    request racing its reply timeout; an idle worker racing its backoff
-    timer against the deque).
-
-    Both constituents must be *pending, unprocessed* events of ``env``
-    that can only succeed, never fail — exactly the shape those call
-    sites produce.  The returned event triggers at the same queue slot an
-    ``AnyOf`` would (its ``succeed`` runs inside the first constituent's
-    callback dispatch), so event streams are identical; only the
-    condition bookkeeping (list copy, per-event env checks, the
-    triggered-subset dict over all constituents) is gone.  The value is
-    ``{first_event: its value}`` for the constituent whose dispatch won.
+    The constituents (one or more) must be events of ``env`` that can only
+    succeed, never fail.  When none has been processed yet, the returned
+    event's ``succeed`` runs inside the first constituent's callback
+    dispatch, and its value is ``{that constituent: its value}``; the
+    later constituents find it triggered and leave it be.  When one was
+    already processed at the call (e.g. a steal reply failed by the
+    membership service while the requester was still mid-send), it
+    triggers at once with every constituent that holds a value.
     """
     ev = Event(env)
-    if a.callbacks is None or b.callbacks is None:
-        # A constituent was already processed — e.g. a steal reply failed
-        # by the membership service while the requester was still mid-send.
-        # Trigger at construction, exactly as AnyOf's immediately-done
-        # path schedules its succeed.
-        ev.succeed({d: d._value for d in (a, b)
-                    if d._value is not _PENDING and d._ok})
-        return ev
+    for d in events:
+        if d.callbacks is None:
+            ev.succeed({d: d._value for d in events
+                        if d._value is not _PENDING and d._ok})
+            return ev
     check = ev._first_of_check
-    a.callbacks.append(check)
-    b.callbacks.append(check)
+    for d in events:
+        d.callbacks.append(check)
     return ev
 
 
@@ -433,9 +379,6 @@ class Environment:
 
     def process(self, generator: Generator) -> Process:
         return Process(self, generator)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling -----------------------------------------------------------
     def _schedule(self, item: Any, delay: float = 0.0) -> None:

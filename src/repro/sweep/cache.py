@@ -12,8 +12,8 @@ A cell's cache key is a SHA-256 over the canonical JSON of
 
 Records are one JSON file per key, sharded by the key's first two hex
 digits, written atomically (temp file + ``os.replace``) so a crashed or
-killed sweep never leaves a half-written record for ``--resume`` to trip
-over.  The salt can be pinned with ``REPRO_SWEEP_SALT`` (used by tests and
+killed sweep never leaves a half-written record for the re-run that
+resumes it to trip over.  The salt can be pinned with ``REPRO_SWEEP_SALT`` (used by tests and
 by anyone who wants cache hits across known-benign source edits).
 """
 
@@ -83,8 +83,6 @@ class SweepCache:
 
     def __init__(self, root: pathlib.Path):
         self.root = pathlib.Path(root)
-        self.hits = 0
-        self.misses = 0
 
     def _path(self, key: str) -> pathlib.Path:
         return self.root / key[:2] / f"{key}.json"
@@ -100,12 +98,9 @@ class SweepCache:
         try:
             record = json.loads(path.read_text())
         except (OSError, ValueError):
-            self.misses += 1
             return None
         if record.get("schema") != CACHE_SCHEMA or "result" not in record:
-            self.misses += 1
             return None
-        self.hits += 1
         return record
 
     def put(self, key: str, spec: RunSpec, result: CellResult,

@@ -9,8 +9,7 @@ the artifacts (or wherever ``--bench-out`` points).
 
 Resume semantics: the cache *is* the resume log.  A sweep interrupted or
 partially failed leaves every completed cell's record on disk; re-running
-the same command (``--resume`` is the explicit spelling of the default)
-executes only the missing cells.  ``--force`` re-executes everything and
+the same command executes only the missing cells.  ``--force`` re-executes everything and
 refreshes the cache; ``--no-cache`` runs fully stateless.
 """
 
@@ -40,7 +39,7 @@ def _progress(outcome: CellOutcome, done: int, total: int) -> None:
 def sweep_main(experiments: List[str], *, jobs: int = 1,
                cache_dir: Optional[pathlib.Path] = None,
                no_cache: bool = False, force: bool = False,
-               resume: bool = False, retries: int = 1,
+               retries: int = 1,
                bench_out: Optional[pathlib.Path] = None,
                out: Optional[pathlib.Path] = None,
                runner_kwargs: Optional[Dict[str, Any]] = None) -> int:
@@ -51,7 +50,6 @@ def sweep_main(experiments: List[str], *, jobs: int = 1,
     if force and no_cache:
         print("--force is meaningless with --no-cache", file=sys.stderr)
         return 2
-    del resume  # the default behavior; the flag exists for explicitness
 
     targets = list_experiments() if experiments == ["all"] else experiments
     runners = {}

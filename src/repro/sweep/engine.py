@@ -255,32 +255,3 @@ class SweepSession:
     def runner(self, cells: Sequence[RunSpec]) -> List[CellResult]:
         """``cell_runner`` interface: all results or :class:`SweepError`."""
         return self.run(cells).results()
-
-    # -- aggregate figures (the BENCH_sweep.json inputs) --------------------
-    @property
-    def cells(self) -> int:
-        return sum(len(r.outcomes) for r in self.reports)
-
-    @property
-    def executed(self) -> int:
-        return sum(r.executed for r in self.reports)
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(r.cache_hits for r in self.reports)
-
-    @property
-    def failed(self) -> int:
-        return sum(len(r.failed) for r in self.reports)
-
-    @property
-    def sim_events(self) -> int:
-        return sum(r.sim_events for r in self.reports)
-
-    @property
-    def wall_s(self) -> float:
-        return sum(r.wall_s for r in self.reports)
-
-    @property
-    def cell_wall_s_total(self) -> float:
-        return sum(r.cell_wall_s_total for r in self.reports)

@@ -30,8 +30,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Tuple
 
-__all__ = ["ClusterSpec", "RunSpec", "CellResult", "CellFailure",
-           "run_cell", "run_cells_inline", "config_items"]
+__all__ = ["ClusterSpec", "RunSpec", "CellResult", "run_cell",
+           "run_cells_inline", "config_items"]
 
 #: systems a cell can run on (``repro.experiments.scalability.SYSTEMS``
 #: plus ``"graph"`` — the DAG executor of :mod:`repro.graph`)
@@ -200,15 +200,6 @@ class CellResult:
             "makespan_s", "gflops", "total_leaf_flops", "steal_attempts",
             "steal_successes", "total_jobs", "total_leaves", "cpu_fallbacks",
             "sim_events")})
-
-
-class CellFailure(RuntimeError):
-    """A cell's runner raised; carries the cell for error reports."""
-
-    def __init__(self, spec: RunSpec, cause: str):
-        super().__init__(f"cell {spec.display()!r} failed: {cause}")
-        self.spec = spec
-        self.cause = cause
 
 
 def _maybe_inject_failure(spec: RunSpec) -> None:

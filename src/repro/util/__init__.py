@@ -1,24 +1,5 @@
-"""Shared utilities: units, table formatting."""
+"""Shared utilities: table formatting (and, in :mod:`.svgplot`, charts)."""
 
-from .tables import format_series, format_table
-from .units import (
-    GB,
-    GIGA,
-    KB,
-    KILO,
-    MB,
-    MEGA,
-    TERA,
-    fmt_bytes,
-    fmt_gflops,
-    fmt_rate,
-    fmt_time,
-    gflops,
-)
+from .tables import format_table
 
-__all__ = [
-    "format_table",
-    "format_series",
-    "KB", "MB", "GB", "KILO", "MEGA", "GIGA", "TERA",
-    "gflops", "fmt_gflops", "fmt_bytes", "fmt_time", "fmt_rate",
-]
+__all__ = ["format_table"]

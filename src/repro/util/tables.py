@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence
 
-__all__ = ["format_table", "format_series"]
+__all__ = ["format_table"]
 
 
 def _cell(value: Any) -> str:
@@ -43,12 +43,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
 
-
-def format_series(x_label: str, xs: Sequence[Any], series: dict,
-                  title: Optional[str] = None) -> str:
-    """Render named y-series against a shared x axis (a 'figure' as text)."""
-    headers = [x_label] + list(series)
-    rows = []
-    for i, x in enumerate(xs):
-        rows.append([x] + [series[name][i] for name in series])
-    return format_table(headers, rows, title=title)

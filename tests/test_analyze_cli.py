@@ -1,4 +1,4 @@
-"""``python -m repro analyze`` CLI: exit codes, JSON shape, baseline flow.
+"""``python -m repro analyze`` CLI: exit codes and JSON shape.
 
 Exit-code convention (shared with ``repro lint``): 0 clean, 1 findings,
 2 usage error.
@@ -45,8 +45,7 @@ def test_unknown_race_app_is_usage_error(capsys):
 
 
 def test_static_fails_on_every_rep1xx_pattern(dirty_tree, capsys):
-    assert analyze_main(static=True, root=dirty_tree,
-                        baseline_path=dirty_tree / "nope.json") == 1
+    assert analyze_main(static=True, root=dirty_tree) == 1
     out = capsys.readouterr().out
     for code in ("REP101", "REP102", "REP103", "REP104", "REP105",
                  "REP106"):
@@ -60,8 +59,7 @@ def test_static_clean_on_shipped_tree(capsys):
 
 
 def test_static_json_shape(dirty_tree, capsys):
-    assert analyze_main(static=True, root=dirty_tree, as_json=True,
-                        baseline_path=dirty_tree / "nope.json") == 1
+    assert analyze_main(static=True, root=dirty_tree, as_json=True) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False
     (section,) = payload["sections"]
@@ -73,24 +71,6 @@ def test_static_json_shape(dirty_tree, capsys):
     assert set(sample) == {"code", "severity", "origin", "line",
                            "message", "hint", "summary"}
     assert all(f["severity"] == "error" for f in findings)
-
-
-def test_write_baseline_then_clean(dirty_tree, tmp_path, capsys):
-    baseline_path = tmp_path / "baseline.json"
-    assert analyze_main(static=True, root=dirty_tree,
-                        baseline_path=baseline_path,
-                        write_baseline=True) == 0
-    assert "wrote" in capsys.readouterr().out
-    saved = json.loads(baseline_path.read_text())
-    assert saved["repro.clock"] == {"REP102": 1}
-    # With the baseline, the same tree now gates clean ...
-    assert analyze_main(static=True, root=dirty_tree,
-                        baseline_path=baseline_path) == 0
-    # ... but a new finding still fails.
-    (dirty_tree / "clock2.py").write_text(
-        "import time\nt = time.monotonic()\n")
-    assert analyze_main(static=True, root=dirty_tree,
-                        baseline_path=baseline_path) == 1
 
 
 def test_races_demo_exits_nonzero(capsys):

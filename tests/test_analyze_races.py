@@ -18,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analyze.fixture_app import run_fixture
-from repro.analyze.races import Access, RaceDetector, VectorClock
+from repro.analyze.races import RaceDetector, VectorClock
 
 _HB_KINDS = {"hb_spawn", "hb_sync", "hb_guard", "shared_access", "race"}
 

@@ -1,8 +1,8 @@
 """Golden tests for the determinism sanitizer's static pass (REP1xx).
 
 Each rule gets a trigger case, a clean counterpart, and (where relevant)
-whitelist behavior; plus the suppression and baseline workflows shared
-with ``repro lint``.
+whitelist behavior; plus the inline-suppression workflow shared with
+``repro lint``.
 """
 
 from __future__ import annotations
@@ -11,13 +11,7 @@ import textwrap
 
 import pytest
 
-from repro.analyze import (
-    Baseline,
-    Finding,
-    analyze_file,
-    analyze_source,
-    analyze_tree,
-)
+from repro.analyze import analyze_file, analyze_source, analyze_tree
 from repro.analyze.static import environ_is_hot, wallclock_allowed
 
 
@@ -270,40 +264,6 @@ def test_bare_suppression_suppresses_all():
 
 
 # ---------------------------------------------------------------------------
-# baseline
-# ---------------------------------------------------------------------------
-
-def _finding(code="REP102", module="repro.x", line=1):
-    return Finding(code=code, line=line, message="m", origin=module)
-
-
-def test_baseline_absorbs_up_to_count():
-    baseline = Baseline(counts={"repro.x": {"REP102": 1}})
-    kept = baseline.filter([_finding(line=1), _finding(line=2)])
-    assert len(kept) == 1                 # one absorbed, overflow kept
-
-
-def test_baseline_is_module_and_code_specific():
-    baseline = Baseline(counts={"repro.x": {"REP102": 5}})
-    kept = baseline.filter([_finding(module="repro.y"),
-                            _finding(code="REP101")])
-    assert {f.code for f in kept} == {"REP101", "REP102"}
-
-
-def test_baseline_roundtrip(tmp_path):
-    baseline = Baseline.from_findings(
-        [_finding(), _finding(), _finding(code="REP106")])
-    path = tmp_path / "baseline.json"
-    baseline.save(path)
-    loaded = Baseline.load(path)
-    assert loaded.counts == {"repro.x": {"REP102": 2, "REP106": 1}}
-
-
-def test_baseline_load_missing_file_is_empty(tmp_path):
-    assert Baseline.load(tmp_path / "nope.json").counts == {}
-
-
-# ---------------------------------------------------------------------------
 # files and trees
 # ---------------------------------------------------------------------------
 
@@ -317,14 +277,12 @@ def test_analyze_file_derives_module_name(tmp_path):
     assert findings[0].origin == "repro.satin.hot"
 
 
-def test_analyze_tree_with_baseline(tmp_path):
+def test_analyze_tree_reports_each_file(tmp_path):
     pkg = tmp_path / "repro"
     pkg.mkdir()
     (pkg / "clock.py").write_text("import time\nt = time.time()\n")
     (pkg / "ok.py").write_text("x = 1\n")
     assert [f.code for f in analyze_tree(pkg)] == ["REP102"]
-    baseline = Baseline(counts={"repro.clock": {"REP102": 1}})
-    assert analyze_tree(pkg, baseline=baseline) == []
 
 
 def test_syntax_error_propagates():
@@ -333,10 +291,9 @@ def test_syntax_error_propagates():
 
 
 def test_shipped_tree_is_clean():
-    """Acceptance: the checked-in runtime passes its own sanitizer."""
-    from repro.analyze.static import DEFAULT_BASELINE_PATH
-    baseline = Baseline.load(DEFAULT_BASELINE_PATH)
-    assert analyze_tree(baseline=baseline) == []
+    """Acceptance: the checked-in runtime passes its own sanitizer, with
+    inline suppressions as the only way to accept a finding."""
+    assert analyze_tree() == []
 
 
 def test_unseeded_graph_builder_fixture_flagged():

@@ -107,8 +107,8 @@ def test_manycore_mode_avoids_tiny_cluster_jobs():
     """Spawns below the many-core threshold become local threads, so the
     number of *stealable* jobs is much smaller than the number of leaves."""
     result, runtime, cluster = run_vecop(gtx480_cluster(2))
-    total_pushed = sum(dq.pushed for dq in runtime.deques.values())
-    assert total_pushed < result.stats.total_leaves
+    spawned = result.stats.registry.get("satin_jobs_spawned_total").total
+    assert spawned < result.stats.total_leaves
 
 
 def test_heterogeneous_node_uses_both_devices():

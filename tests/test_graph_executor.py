@@ -181,12 +181,18 @@ def test_policies_actually_differ_on_the_apps():
 
 class _UncachedRuntime(GraphRuntime):
     """Reference executor that prices every estimate from scratch: one
-    ``kernel_time`` per device per call and the full pairwise edge loop per
-    edge.  The per-run tables must reproduce it bit for bit."""
+    ``kernel_time`` per device per call, a fresh edge-cost row per
+    placement lookup and the full pairwise edge loop per edge.  The per-run
+    tables must reproduce it bit for bit."""
 
     def _kernel_times(self, profile):
         return {dev.lane: kernel_time(profile, dev.spec)
                 for dev in self.devices}
+
+    def _edge_row(self, nbytes, src_lane):
+        src = self._device_by_lane[src_lane]
+        return {dst.lane: self._edge_cost(nbytes, src, dst)
+                for dst in self.devices if dst is not src}
 
     def _mean_exec_estimate(self, name):
         profile = self.graph.nodes[name].profile()

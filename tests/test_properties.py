@@ -19,6 +19,7 @@ from repro.mcl.kernels import effective_device_bytes
 from repro.satin.job import Job
 from repro.satin.queues import WorkDeque
 from repro.sim import Environment, NetworkSpec
+from repro.sim.engine import first_of
 from repro.util.tables import format_table
 
 # --------------------------------------------------------------------------
@@ -47,8 +48,8 @@ def test_timeouts_fire_in_nondecreasing_time_order(delays):
                 min_size=1, max_size=10))
 def test_allof_completes_at_max_anyof_at_min(delays):
     """Waiting for all of the timeouts (each in turn: one already processed
-    resumes the waiter at once) ends at the latest; ``any_of`` ends at the
-    earliest."""
+    resumes the waiter at once) ends at the latest; ``first_of`` ends at
+    the earliest."""
     env = Environment()
     times = {}
 
@@ -58,7 +59,7 @@ def test_allof_completes_at_max_anyof_at_min(delays):
         times["all"] = env.now
 
     def any_waiter():
-        yield env.any_of([env.timeout(d) for d in delays])
+        yield first_of(env, *[env.timeout(d) for d in delays])
         times["any"] = env.now
 
     env.process(all_waiter())

@@ -11,7 +11,6 @@ from repro.satin.comm import (
     SharedObjectUpdate,
     StealReply,
     StealRequest,
-    UserMessage,
 )
 from repro.satin.job import Job
 
@@ -25,7 +24,6 @@ def test_wire_tags_are_the_historical_strings():
     assert StealReply.WIRE_TAG == "steal_reply"
     assert ResultReturn.WIRE_TAG == "result"
     assert SharedObjectUpdate.WIRE_TAG == "shared_update"
-    assert UserMessage.WIRE_TAG == "user"
     assert RuntimeInfo.WIRE_TAG == "runtime-info"
 
 
@@ -137,16 +135,17 @@ def test_dispatch_drops_untyped_and_unhandled_traffic():
     handler are both dropped, like the historical message loop."""
     cluster, env, layer, ch0, ch1 = _two_node_layer()
     seen = []
-    ch1.on(UserMessage, lambda msg: seen.append(msg.payload))
+    ch1.on(RuntimeInfo, lambda msg: seen.append(msg.payload))
 
     def sender():
         # below-protocol: raw payload with an arbitrary tag
         yield from cluster.node(0).endpoint.send(1, "app-bcast",
                                                  payload={"x": 1}, nbytes=10)
         # typed but unhandled on node 1
-        yield from ch0.send(1, RuntimeInfo(), nbytes=10)
+        yield from ch0.send(1, ResultReturn(job_id=0, result=None),
+                            nbytes=10)
         # typed and handled
-        yield from ch0.send(1, UserMessage(payload="hello"), nbytes=10)
+        yield from ch0.send(1, RuntimeInfo(payload="hello"), nbytes=10)
         yield env.timeout(1.0)
 
     env.run(until=env.process(sender()))
@@ -160,12 +159,12 @@ def test_stopped_pump_costs_one_inert_pop_then_none():
     by event count, so that one pop is part of the schedule."""
     cluster, env, layer, ch0, ch1 = _two_node_layer()
     seen = []
-    ch1.on(UserMessage, lambda msg: seen.append(msg.payload))
+    ch1.on(RuntimeInfo, lambda msg: seen.append(msg.payload))
     env.run()  # the pumps' starters arm both receivers
 
     def pops_to_deliver(payload):
         before = env.events_processed
-        ch0.post(1, UserMessage(payload=payload), nbytes=10)
+        ch0.post(1, RuntimeInfo(payload=payload), nbytes=10)
         env.run()
         return env.events_processed - before
 

@@ -12,6 +12,7 @@ from repro.sim import (
     Interrupt,
     SimulationError,
 )
+from repro.sim.engine import first_of
 
 
 def test_timeout_advances_clock():
@@ -148,11 +149,71 @@ def test_anyof_returns_at_first():
     def proc():
         t1 = env.timeout(1, value="x")
         t2 = env.timeout(5, value="y")
-        yield env.any_of([t1, t2])
+        yield first_of(env, t1, t2)
         return env.now
 
     assert env.run(env.process(proc())) == 1
 
+
+
+def test_first_of_fires_in_its_first_constituents_dispatch():
+    """Three pending constituents: the first one dispatched triggers the
+    wait from inside its own callbacks.  So the wait fires at that instant
+    behind the work already queued there (including work queued after the
+    constituent was triggered), holds that constituent alone, and the later
+    constituents neither trigger it again nor raise."""
+    env = Environment()
+    a, b, c = env.event(), env.event(), env.event()
+    log = []
+
+    def marker(name):
+        ev = env.event()
+        ev.callbacks.append(lambda _ev: log.append((name, env.now)))
+        return ev
+
+    def waiter():
+        value = yield first_of(env, a, b, c)
+        log.append(("waiter", env.now))
+        return value
+
+    def producer():
+        yield env.timeout(2.0)
+        marker("queued before b").succeed()
+        b.succeed("vb")
+        marker("queued after b").succeed()
+        yield env.timeout(1.0)
+        a.succeed("va")
+        yield env.timeout(1.0)
+        c.succeed("vc")
+
+    proc = env.process(waiter())
+    env.process(producer())
+    env.run()
+    assert log == [("queued before b", 2.0), ("queued after b", 2.0),
+                   ("waiter", 2.0)]
+    assert list(proc.value) == [b]
+    assert proc.value[b] == "vb"
+    assert env.now == 4.0
+
+
+def test_first_of_fires_at_once_on_a_processed_constituent():
+    """A constituent already processed at the call triggers the wait at
+    once, with every processed constituent's value."""
+    env = Environment()
+    first = env.event().succeed("x")
+    second = env.timeout(0.0, value="y")
+    pending = env.event()
+    env.run()
+
+    def waiter():
+        yield env.timeout(1.0)
+        value = yield first_of(env, pending, first, second)
+        return env.now, value
+
+    proc = env.process(waiter())
+    env.run()
+    assert proc.value == (1.0, {first: "x", second: "y"})
+    assert not pending.triggered
 
 def test_interrupt_delivers_cause():
     env = Environment()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster import SimCluster, satin_cpu_cluster
 from repro.core.policy import create_policy, policy_names
+from repro.obs.bus import EventBus
 from repro.satin import RuntimeConfig, SatinRuntime
 from repro.satin.steal import (
     AdaptiveStealPolicy,
@@ -70,9 +71,22 @@ def test_random_policy_matches_inline_shuffle():
     assert sorted(order) == sorted(candidates)
 
 
+def _decisions_of(policy):
+    """The ``sched_decision`` events of four steal rounds on an enabled
+    bus."""
+    bus = EventBus().enable()
+    policy.bind(bus)
+    for thief in range(4):
+        order = policy.victim_order(
+            thief, [r for r in range(8) if r != thief], random.Random(thief))
+        policy.observe(thief, order[0], hit=False)
+    return bus.by_kind("sched_decision")
+
+
 def test_random_policy_emits_no_decisions():
-    policy = RandomStealPolicy()
-    assert policy.emits_decisions is False
+    assert _decisions_of(RandomStealPolicy()) == []
+    # the same rounds on the same bus shape do record a policy that emits
+    assert len(_decisions_of(ClusterAwareStealPolicy())) == 4
 
 
 # --------------------------------------------------------------------------

@@ -103,8 +103,10 @@ def test_cache_hit_experiment_rows_identical(tmp_path):
     cold = fig9_10(node_counts=(1,), cell_runner=cold_session.runner)
     warm_session = SweepSession(jobs=1, cache=cache)
     warm = fig9_10(node_counts=(1,), cell_runner=warm_session.runner)
-    assert cold_session.executed == 3 and cold_session.cache_hits == 0
-    assert warm_session.executed == 0 and warm_session.cache_hits == 3
+    cold_counts = [(r.executed, r.cache_hits) for r in cold_session.reports]
+    warm_counts = [(r.executed, r.cache_hits) for r in warm_session.reports]
+    assert cold_counts == [(3, 0)]
+    assert warm_counts == [(0, 3)]
     assert warm.rows == cold.rows
     assert warm.render() == cold.render()
 

@@ -1,49 +1,8 @@
-"""Tests for the util package: units and table formatting."""
+"""Tests for the util package: table formatting."""
 
 import pytest
 
-from repro.util import (
-    GB,
-    KB,
-    MB,
-    fmt_bytes,
-    fmt_gflops,
-    fmt_rate,
-    fmt_time,
-    format_series,
-    format_table,
-    gflops,
-)
-
-
-def test_gflops_conversion():
-    assert gflops(2e12, 2.0) == pytest.approx(1000.0)
-
-
-def test_gflops_rejects_nonpositive_duration():
-    with pytest.raises(ValueError):
-        gflops(1.0, 0.0)
-
-
-def test_fmt_gflops():
-    assert fmt_gflops(1.5e12) == "1500.0 GFLOPS"
-
-
-def test_fmt_bytes_scales():
-    assert fmt_bytes(512) == "512 B"
-    assert fmt_bytes(2 * KB) == "2.00 KB"
-    assert fmt_bytes(3.5 * MB) == "3.50 MB"
-    assert fmt_bytes(1.25 * GB) == "1.25 GB"
-
-
-def test_fmt_time_scales():
-    assert fmt_time(2.5) == "2.500 s"
-    assert fmt_time(1.5e-3) == "1.500 ms"
-    assert fmt_time(42e-6) == "42.0 us"
-
-
-def test_fmt_rate():
-    assert fmt_rate(3.2e9) == "3.20 GB/s"
+from repro.util import format_table
 
 
 def test_format_table_basic():
@@ -65,11 +24,3 @@ def test_format_table_float_formatting():
     assert "1234" in text      # large floats rounded to integers
     assert "3.14" in text
     assert "0.0012" in text
-
-
-def test_format_series():
-    text = format_series("nodes", [1, 2], {"satin": [1.0, 1.9],
-                                           "cashmere": [1.0, 2.0]})
-    lines = text.splitlines()
-    assert lines[0].split() == ["nodes", "satin", "cashmere"]
-    assert lines[2].split()[0] == "1"
